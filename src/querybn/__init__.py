@@ -15,9 +15,9 @@ from .inference import (EnumerationCapExceeded, Factor, ZeroEvidence, answer,
                         cond_prob, enumerate_joint, enumerate_marginal,
                         family_posterior, is_markov_blanket_query, marginal,
                         mb_posterior, mb_query)
-from .queries import (LabeledQuery, QueryDistribution, QueryFile, QueryPattern,
-                      StatQuery, expand_pattern, label_queries, load_queries,
-                      parse_queries, sample_query, save_queries)
+from .queries import (LabeledQuery, QueryDistribution, QueryPattern, StatQuery,
+                      expand_pattern, label_queries, load_queries, parse_queries,
+                      sample_query, save_queries)
 from .sampling import (CapExceeded, Dataset, collect_until_matched, cond_freq,
                        forward_sample, load_dataset, save_dataset)
 from .scoring import (ErrReport, QueryScore, UnmatchedEvidence, ZeroProbability,

@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
+from typing import Callable
 
 from . import bounds as bounds_mod
 from .experiments import EXPERIMENT_IDS, run_experiment
@@ -33,28 +35,23 @@ class _CliError(Exception):
         self.code = code
 
 
+def _load_or_fail(kind: str, path, load: Callable, *, malformed: str = "malformed JSON in"):
+    """``load(path)``, with a missing file, malformed JSON or an invalid
+    document reported as a CLI error naming the file."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise _CliError(f"cannot read {kind} file: {path}", USAGE_ERROR)
+    except InvalidNetError as exc:
+        raise _CliError(f"{path}: " + "; ".join(exc.violations), DOMAIN_ERROR)
+    except json.JSONDecodeError as exc:
+        raise _CliError(f"{malformed} {path}: {exc}", USAGE_ERROR)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliError(f"cannot parse {kind} file {path}: {exc}", USAGE_ERROR)
+
+
 def _load_net_or_fail(path) -> BayesNet:
-    try:
-        return load_net(path)
-    except FileNotFoundError:
-        raise _CliError(f"cannot read net file: {path}", USAGE_ERROR)
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed JSON in {path}: {exc}", USAGE_ERROR)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidNetError):
-            raise _CliError(f"{path}: " + "; ".join(exc.violations), DOMAIN_ERROR)
-        raise _CliError(f"cannot parse net file {path}: {exc}", USAGE_ERROR)
-
-
-def _load_queries_or_fail(path, net):
-    try:
-        return load_queries(path, net)
-    except FileNotFoundError:
-        raise _CliError(f"cannot read query file: {path}", USAGE_ERROR)
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed JSON in {path}: {exc}", USAGE_ERROR)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError(f"cannot parse query file {path}: {exc}", USAGE_ERROR)
+    return _load_or_fail("net", path, load_net)
 
 
 def _outdir(args) -> str:
@@ -70,16 +67,10 @@ def _write_report(report, outdir: str, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.net) as fh:
-            doc = json.load(fh)
-        net = BayesNet.from_dict(doc)
-    except FileNotFoundError:
-        print(f"cannot read net file: {args.net}", file=sys.stderr)
-        return USAGE_ERROR
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"cannot parse net file {args.net}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # parsed but not validated, so that every violation is listed, one per line
+    net = _load_or_fail("net", args.net,
+                        lambda p: BayesNet.from_dict(json.loads(Path(p).read_text())),
+                        malformed="cannot parse net file")
     violations = validate(net, eps_clamp=args.clamped)
     for v in violations:
         print(v)
@@ -91,16 +82,16 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     net = _load_net_or_fail(args.net)
-    qfile = _load_queries_or_fail(args.queries, net)
+    dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, net))
     try:
         if args.truth:
             truth = _load_net_or_fail(args.truth)
-            report = true_err(net, qfile.distribution(), truth)
+            report = true_err(net, dist, truth)
         elif args.data:
             data = load_dataset(args.data, net)
-            report = empirical_err_from_events(net, qfile.queries(), data)
-        elif qfile.fully_labeled():
-            report = empirical_err(net, qfile.labeled())
+            report = empirical_err_from_events(net, dist.queries(), data)
+        elif dist.fully_labeled():
+            report = empirical_err(net, dist.labeled())
         else:
             raise _CliError(
                 "eval needs --truth, --data, or labels on every query atom", USAGE_ERROR)
@@ -136,21 +127,21 @@ def cmd_learn(args) -> int:
 
     if not args.queries:
         raise _CliError("learn --mode qfit requires --queries", USAGE_ERROR)
-    qfile = _load_queries_or_fail(args.queries, structure)
+    dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, structure))
     try:
-        if qfile.fully_labeled():
-            labeled = qfile.labeled()
+        if dist.fully_labeled():
+            labeled = dist.labeled()
         elif args.truth:
             truth = _load_net_or_fail(args.truth)
             from .queries import label_queries
 
-            labeled = label_queries(truth, qfile.queries())
+            labeled = label_queries(truth, dist.queries())
         elif args.data:
             from .sampling import cond_freq
 
             data = load_dataset(args.data, structure)
             labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
-                       for q in qfile.queries()]
+                       for q in dist.queries()]
         else:
             raise _CliError(
                 "learn --mode qfit needs labels in the query file, --truth, or --data",

@@ -101,11 +101,10 @@ class ExperimentReport:
         for name, rows in self.tables.items():
             path = os.path.join(directory, f"{safe}_{name}.csv")
             with open(path, "w", newline="") as fh:
-                if not rows:
-                    continue
-                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                w.writeheader()
-                w.writerows(rows)
+                if rows:
+                    w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                    w.writeheader()
+                    w.writerows(rows)
             written.append(path)
         return written
 
@@ -438,7 +437,7 @@ def hoeffding_fixture(n_vars: int = 5) -> tuple[BayesNet, BayesNet, QueryDistrib
 
 
 def run_hoeffding(eps: float = 0.1, delta: float = 0.1, trials: int = 200,
-                  seed: int = 0, jobs: int = 1) -> ExperimentReport:
+                  seed: int = 0) -> ExperimentReport:
     """Empirical coverage of the labeled-query score estimate.
 
     Each trial scores the hypothesis on ``m_lsq(eps, delta)`` queries drawn
@@ -482,5 +481,5 @@ def run_experiment(experiment_id: str, seed: int = 0, jobs: int = 1, **params) -
     if experiment_id == "table1":
         return run_table1(seed=seed, **params)
     if experiment_id == "hoeffding":
-        return run_hoeffding(seed=seed, jobs=jobs, **params)
+        return run_hoeffding(seed=seed, **params)
     raise KeyError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")

@@ -262,7 +262,11 @@ def answer(net: BayesNet, q) -> float:
 
 
 def legal_answer(net: BayesNet, q) -> float:
-    """:func:`answer` plus an explicit legality check on the evidence."""
-    if q.evidence and marginal(net, q.evidence) <= 0.0:
+    """:func:`answer` plus an explicit legality check on the evidence.
+
+    Only the blanket fast path needs the check; :func:`cond_prob` already
+    raises :class:`ZeroEvidence` on the general path.
+    """
+    if q.evidence and is_markov_blanket_query(net, q) and marginal(net, q.evidence) <= 0.0:
         raise ZeroEvidence(q.evidence)
     return answer(net, q)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bounds
 from .inference import (ZeroEvidence, cond_prob, family_posterior,
-                        is_markov_blanket_query, marginal, mb_posterior)
+                        is_markov_blanket_query, mb_posterior)
 from .network import Assignment, BayesNet, EntryId, clamp_row, d_separated
 from .queries import LabeledQuery, StatQuery
 from .sampling import Dataset, collect_until_matched, cond_freq
@@ -89,44 +89,37 @@ def _family_can_affect(b: BayesNet, v: str, q: StatQuery) -> bool:
     return not d_separated(b, free, set(q.target), set(q.evidence))
 
 
+def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
+    """``scale * (P(q,r | x,y) - P(q,r | y)) / e[q|r]`` for every entry of
+    ``v``'s CPT, from two family posteriors.
+
+    With ``scale = B(x|y)`` this is dB(x|y)/de for the whole table; the
+    gradient passes the chained factor ``2 w (B - p) B`` instead.
+    """
+    table = b.cpts[v].table
+    if (table <= 0.0).any():
+        row, col = np.argwhere(table <= 0.0)[0]
+        raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
+                         "the derivative form divides by it (fit against a clamped net)")
+    p1 = family_posterior(b, v, {**q.target, **q.evidence})
+    p0 = family_posterior(b, v, q.evidence)
+    return scale * (p1 - p0) / table
+
+
 def db_dentry(b: BayesNet, q: StatQuery, e: EntryId) -> float:
     """Derivative of the answered conditional with respect to one raw CPT
     entry, holding all other entries fixed."""
     if not _family_can_affect(b, e.var, q):
         return 0.0
-    value = b.entry_value(e)
-    if value <= 0.0:
-        raise ValueError(f"entry {b.describe_entry(e)} is zero; the derivative form "
-                         "divides by it (fit against a clamped net)")
-    xy = {**q.target, **q.evidence}
-    m_y = marginal(b, q.evidence)
-    if m_y <= 0.0:
-        raise ZeroEvidence(q.evidence)
-    m_xy = marginal(b, xy)
-    B = m_xy / m_y
-    qr = dict(b.decode_row(e.var, e.row))
-    qr[e.var] = b.label(e.var, e.value)
-    t1 = _cond_of_event(b, qr, xy, m_xy)
-    t0 = _cond_of_event(b, qr, q.evidence, m_y)
-    if t1 == t0:
-        return 0.0
-    return B * (t1 - t0) / value
-
-
-def _cond_of_event(b: BayesNet, event: Assignment, given: Assignment, p_given: float) -> float:
-    """B(event | given), with inconsistent events scoring 0."""
-    for k, val in event.items():
-        if k in given and given[k] != val:
-            return 0.0
-    merged = dict(given)
-    merged.update(event)
-    return marginal(b, merged) / p_given
+    B = cond_prob(b, q.target, q.evidence)
+    return float(_db_table(b, e.var, q, B)[e.row, e.value])
 
 
 def derr_dentry(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
     """Derivative of one query's squared error with respect to a raw entry:
     ``2 (B(x|y) - p) * dB/de``; exactly zero when the answer matches the
-    label."""
+    label.  Always takes the family-posterior path, even for blanket
+    queries, so it cross-checks :func:`derr_dentry_mb`."""
     B = cond_prob(b, lq.query.target, lq.query.evidence)
     resid = B - lq.label
     if resid == 0.0:
@@ -139,12 +132,12 @@ def derr_dentry_mb(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
 
     Requires the query's evidence to cover the target's Markov blanket.
     Entries whose event (value, parent row) is not consistent with the
-    query's target-plus-evidence assignment contribute 0 by convention.
+    query's target-plus-evidence assignment contribute 0 by convention;
+    the rest are read from the blanket gradient.
     """
     q = lq.query
     if not is_markov_blanket_query(b, q):
         raise ValueError("query is not a Markov-blanket query")
-    (v, v_val), = q.target.items()
     assignment = {**q.target, **q.evidence}
     fam = (e.var, *b.parents(e.var))
     if any(f not in assignment for f in fam):
@@ -153,16 +146,7 @@ def derr_dentry_mb(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
     event[e.var] = b.label(e.var, e.value)
     if any(assignment[f] != val for f, val in event.items()):
         return 0.0
-    if v not in fam:
-        return 0.0  # family fully fixed by the evidence; no effect on B(x|y)
-    B = float(mb_posterior(b, v, q.evidence)[b.code(v, v_val)])
-    resid = B - lq.label
-    if resid == 0.0 or B == 0.0 or B == 1.0:
-        return 0.0
-    value = b.entry_value(e)
-    if value <= 0.0:
-        raise ValueError(f"entry {b.describe_entry(e)} is zero; gradient undefined")
-    return 2.0 * resid * B * (1.0 - B) / value
+    return float(grad(b, [lq], weights=[1.0])[e.var][e.row, e.value])
 
 
 def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | None = None,
@@ -189,26 +173,14 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
 
 def _grad_general(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:
     q = lq.query
-    xy = {**q.target, **q.evidence}
-    m_y = marginal(b, q.evidence)
-    if m_y <= 0.0:
-        raise ZeroEvidence(q.evidence)
-    B = marginal(b, xy) / m_y
+    B = cond_prob(b, q.target, q.evidence)
     resid = B - lq.label
     if resid == 0.0:
         return
     coeff = 2.0 * w * resid * B
     for v in b.names:
-        if not _family_can_affect(b, v, q):
-            continue
-        table = b.cpts[v].table
-        if (table <= 0.0).any():
-            row, col = np.argwhere(table <= 0.0)[0]
-            raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
-                             "the derivative form divides by it (fit against a clamped net)")
-        p1 = family_posterior(b, v, xy)
-        p0 = family_posterior(b, v, q.evidence)
-        g[v] += coeff * (p1 - p0) / table
+        if _family_can_affect(b, v, q):
+            g[v] += _db_table(b, v, q, coeff)
 
 
 def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:

@@ -16,8 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .inference import (ZeroEvidence, answer, is_markov_blanket_query,  # noqa: F401
-                        legal_answer)
+from .inference import legal_answer
 from .network import Assignment, BayesNet
 
 DEFAULT_ATOM_CAP = 2 ** 20
@@ -126,27 +125,39 @@ def expand_pattern(net: BayesNet, pat: QueryPattern, weight: float,
     return out
 
 
-class QueryDistribution:
-    """Normalized weighted set of distinct ground queries.
+# (query, weight) or (query, weight, label); a label of None means unlabeled
+Atom = tuple[StatQuery, float] | tuple[StatQuery, float, float | None]
 
-    Duplicate queries are merged by summing their weights.  Weights must
+
+class QueryDistribution:
+    """Normalized weighted set of distinct ground queries, optionally labeled.
+
+    Atoms are ``(query, weight)`` or ``(query, weight, label)`` with label
+    ``None`` meaning unlabeled.  Duplicate queries are merged by summing
+    their weights; their labels must agree within ``1e-12``.  Weights must
     total 1 within ``1e-6``; they are rescaled to sum to exactly 1.
     """
 
-    def __init__(self, atoms: Iterable[tuple[StatQuery, float]]):
-        merged: dict[StatQuery, float] = {}
-        for q, w in atoms:
+    def __init__(self, atoms: Iterable[Atom]):
+        merged: dict[StatQuery, tuple[float, float | None]] = {}
+        for atom in atoms:
+            q, w, lab = atom if len(atom) == 3 else (*atom, None)
             w = float(w)
             if w <= 0:
                 raise ValueError(f"query weight must be positive, got {w} for {q.id()}")
-            merged[q] = merged.get(q, 0.0) + w
+            lab = None if lab is None else float(lab)
+            w0, lab0 = merged.get(q, (0.0, None))
+            if lab is not None and lab0 is not None and abs(lab - lab0) > 1e-12:
+                raise ValueError(f"conflicting labels for duplicate query {q.id()}")
+            merged[q] = (w0 + w, lab0 if lab is None else lab)
         if not merged:
             raise ValueError("query distribution needs at least one atom")
-        total = sum(merged.values())
+        total = sum(w for w, _ in merged.values())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"query weights sum to {total:.8g}, not 1")
         self.atoms: tuple[tuple[StatQuery, float], ...] = tuple(
-            (q, w / total) for q, w in merged.items())
+            (q, w / total) for q, (w, _) in merged.items())
+        self.labels: tuple[float | None, ...] = tuple(lab for _, lab in merged.values())
 
     @classmethod
     def uniform(cls, queries: Sequence[StatQuery]) -> "QueryDistribution":
@@ -169,6 +180,17 @@ class QueryDistribution:
         if size is None:
             return self.atoms[int(idx)][0]
         return [self.atoms[i][0] for i in np.asarray(idx)]
+
+    def labeled(self) -> list[LabeledQuery]:
+        """The queries with their labels; every atom must carry one."""
+        pairs = list(zip(self.queries(), self.labels))
+        missing = [q.id() for q, lab in pairs if lab is None]
+        if missing:
+            raise ValueError(f"queries without labels: {missing}")
+        return [LabeledQuery(q, lab) for q, lab in pairs]
+
+    def fully_labeled(self) -> bool:
+        return None not in self.labels
 
 
 def sample_query(dist: QueryDistribution, rng: np.random.Generator | int) -> StatQuery:
@@ -193,73 +215,32 @@ def label_queries(truth: BayesNet, qs: Iterable[StatQuery]) -> list[LabeledQuery
 #  "patterns": [{"target_vars": [..], "evidence_vars": [..], "pinned": {..},
 #                "weight": w}, ..]}
 #
-# Patterns are expanded at load time; duplicate queries are merged (their
-# weights summed).  Total weight must be 1 within 1e-6.
+# Patterns are expanded at load time into unlabeled atoms; the result is a
+# QueryDistribution, which merges duplicates and checks the weights.
 
 
-@dataclass
-class QueryFile:
-    """Loaded query set: weighted atoms, optionally labeled."""
-
-    atoms: list[tuple[StatQuery, float, float | None]]
-
-    def distribution(self) -> QueryDistribution:
-        return QueryDistribution((q, w) for q, w, _ in self.atoms)
-
-    def queries(self) -> list[StatQuery]:
-        return [q for q, _, _ in self.atoms]
-
-    def labeled(self) -> list[LabeledQuery]:
-        missing = [q.id() for q, _, lab in self.atoms if lab is None]
-        if missing:
-            raise ValueError(f"queries without labels: {missing}")
-        return [LabeledQuery(q, lab) for q, _, lab in self.atoms]
-
-    def fully_labeled(self) -> bool:
-        return all(lab is not None for _, _, lab in self.atoms)
-
-
-def load_queries(path, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP) -> QueryFile:
+def load_queries(path, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP) -> QueryDistribution:
     with open(path) as fh:
         doc = json.load(fh)
     return parse_queries(doc, net, atom_cap=atom_cap)
 
 
-def parse_queries(doc: Mapping, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP) -> QueryFile:
-    raw: list[tuple[StatQuery, float, float | None]] = []
+def parse_queries(doc: Mapping, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP,
+                  ) -> QueryDistribution:
+    atoms: list[Atom] = []
     for item in doc.get("atoms", ()):
         q = StatQuery(item["target"], item.get("evidence", {}))
         for k, v in {**q.target, **q.evidence}.items():
             net.code(k, v)
-        label = item.get("label")
-        raw.append((q, float(item["weight"]), None if label is None else float(label)))
+        atoms.append((q, item["weight"], item.get("label")))
     for item in doc.get("patterns", ()):
         pat = QueryPattern(tuple(item["target_vars"]), tuple(item.get("evidence_vars", ())),
                            item.get("pinned", {}))
-        raw.extend((q, w, None) for q, w in expand_pattern(net, pat, float(item["weight"]),
-                                                           atom_cap=atom_cap))
-    if not raw:
-        raise ValueError("query file contains no atoms or patterns")
-
-    merged: dict[StatQuery, tuple[float, float | None]] = {}
-    for q, w, lab in raw:
-        if w <= 0:
-            raise ValueError(f"query weight must be positive: {q.id()}")
-        if q in merged:
-            w0, lab0 = merged[q]
-            if lab is not None and lab0 is not None and abs(lab - lab0) > 1e-12:
-                raise ValueError(f"conflicting labels for duplicate query {q.id()}")
-            merged[q] = (w0 + w, lab0 if lab is None else lab)
-        else:
-            merged[q] = (w, lab)
-    total = sum(w for w, _ in merged.values())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"query weights sum to {total:.8g}, not 1")
-    atoms = [(q, w / total, lab) for q, (w, lab) in merged.items()]
-    return QueryFile(atoms)
+        atoms.extend(expand_pattern(net, pat, float(item["weight"]), atom_cap=atom_cap))
+    return QueryDistribution(atoms)
 
 
-def save_queries(path, atoms: Iterable[tuple[StatQuery, float] | tuple[StatQuery, float, float | None]]) -> None:
+def save_queries(path, atoms: Iterable[Atom]) -> None:
     rows = []
     for atom in atoms:
         q, w, lab = atom if len(atom) == 3 else (*atom, None)

@@ -118,6 +118,7 @@ def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -
         else:
             rows = np.zeros(n, dtype=np.int64)
         cum = np.cumsum(table[rows], axis=1)
+        cum /= cum[:, -1:]  # a validated row may sum to 1 - 1e-9; u < 1 must not reach code arity
         u = rng.random(n)
         codes[:, cols[v]] = (u[:, None] >= cum).sum(axis=1)
     prov = {"source": "forward_sample", "n": n}

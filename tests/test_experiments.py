@@ -117,6 +117,13 @@ class TestReportPlumbing:
         written = report.write_tables_csv(tmp_path)
         assert any(p.endswith("criteria.csv") for p in written)
 
+    def test_empty_table_csv_is_written_and_returned(self, tmp_path):
+        report = ExperimentReport("x", 0, {})
+        report.tables["empty"] = []
+        written = report.write_tables_csv(tmp_path)
+        assert str(tmp_path / "x_empty.csv") in written
+        assert (tmp_path / "x_empty.csv").read_text() == ""
+
     def test_dispatch_by_id(self):
         report = run_experiment("ex4.3", seed=0, n=8, n_samples=200, trials=5)
         assert report.experiment == "ex4.3"

@@ -84,13 +84,15 @@ class TestDbDentry:
         import querybn.learning as learning
 
         calls = {"n": 0}
-        real = learning.marginal
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls["n"] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(learning, "marginal", counting)
+        for name in ("cond_prob", "family_posterior", "mb_posterior"):
+            monkeypatch.setattr(learning, name, counting(getattr(learning, name)))
         bp = ex41_bp()
         # evidence A fixes the whole family of A's prior entry
         e = EntryId("A", 0, 1)
@@ -119,6 +121,22 @@ class TestDerrDentry:
         lq = LabeledQuery(q, answer(net, q))
         for eid in net.entry_ids():
             assert derr_dentry(net, lq, eid) == 0.0
+
+    def test_blanket_query_does_not_use_the_blanket_path(self, monkeypatch):
+        # derr_dentry is the independent general form that criterion 4
+        # compares derr_dentry_mb against; it must not reach mb_posterior
+        import querybn.learning as learning
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derr_dentry took the blanket path")
+
+        rng = np.random.default_rng(57)
+        net = random_net(rng, n_vars=5, interior=0.15)
+        lq = LabeledQuery(random_blanket_query(rng, net), 0.3)
+        expected = {eid: derr_dentry(net, lq, eid) for eid in net.entry_ids()}
+        monkeypatch.setattr(learning, "mb_posterior", refuse)
+        assert {eid: derr_dentry(net, lq, eid) for eid in net.entry_ids()} == expected
+        assert any(v != 0.0 for v in expected.values())
 
 
 class TestDerrDentryMb:

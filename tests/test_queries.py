@@ -227,7 +227,7 @@ class TestQueryFile:
         path = tmp_path / "q.json"
         path.write_text(json.dumps(doc))
         qf = load_queries(path, net)
-        weights = {q.id(): w for q, w, _ in qf.atoms}
+        weights = {q.id(): w for q, w in qf.atoms}
         assert weights["P(C=1 | A1=0)"] == pytest.approx(0.5)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         # the pattern contributes C x A2 combinations with A1 pinned: 4 atoms

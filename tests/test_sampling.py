@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querybn import CapExceeded, Dataset, collect_until_matched, cond_freq, forward_sample
+from querybn import (CapExceeded, Dataset, collect_until_matched, cond_freq, forward_sample,
+                     validate)
 from querybn.experiments import ex41_truth, ex43_truth
 from querybn.random_nets import random_net
 from querybn.sampling import load_dataset, save_dataset
@@ -35,6 +36,18 @@ class TestForwardSample:
         a = forward_sample(net, 500, seed=42)
         b = forward_sample(net, 500, seed=42)
         assert np.array_equal(a.codes, b.codes)
+
+    def test_draw_above_a_short_row_stays_in_the_domain(self):
+        # validate accepts rows summing to 1 - 1e-9; a draw of u in
+        # [row sum, 1) must still land on a value, not one past the last
+        class HighDraws(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.full(size, 1.0 - 1e-12)
+
+        net = make_net([("A", "01")], [], {"A": [[0.5, 0.5 - 5e-10]]})
+        assert validate(net) == []
+        data = forward_sample(net, 3, HighDraws(np.random.PCG64(0)))
+        assert data.codes[:, 0].tolist() == [1, 1, 1]
 
     def test_empirical_joint_converges_in_total_variation(self):
         rng = np.random.default_rng(4)
