@@ -17,12 +17,12 @@ from pathlib import Path
 from typing import Callable
 
 from . import bounds as bounds_mod
-from .experiments import EXPERIMENT_IDS, run_experiment
+from .experiments import EXPERIMENT_IDS, experiment_params, run_experiment
 from .inference import ZeroEvidence
 from .learning import FitOptions, fit_cpt, ofe
 from .network import BayesNet, InvalidNetError, load_net, save_net, validate
-from .queries import LabeledQuery, load_queries
-from .sampling import forward_sample, load_dataset, save_dataset
+from .queries import LabeledQuery, label_queries, load_queries
+from .sampling import cond_freq, forward_sample, load_dataset, save_dataset
 from .scoring import UnmatchedEvidence, empirical_err, empirical_err_from_events, true_err
 
 USAGE_ERROR = 2
@@ -133,12 +133,8 @@ def cmd_learn(args) -> int:
             labeled = dist.labeled()
         elif args.truth:
             truth = _load_net_or_fail(args.truth)
-            from .queries import label_queries
-
             labeled = label_queries(truth, dist.queries())
         elif args.data:
-            from .sampling import cond_freq
-
             data = load_dataset(args.data, structure)
             labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
                        for q in dist.queries()]
@@ -146,9 +142,7 @@ def cmd_learn(args) -> int:
             raise _CliError(
                 "learn --mode qfit needs labels in the query file, --truth, or --data",
                 USAGE_ERROR)
-    except ZeroEvidence as exc:
-        raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
-    except ValueError as exc:
+    except ValueError as exc:  # ZeroEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
     result = fit_cpt(structure, labeled, _fit_options(args))
     violations = validate(result.net)
@@ -202,6 +196,13 @@ def cmd_repro(args) -> int:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise _CliError(f"--params must be a JSON object: {exc}", USAGE_ERROR)
+        if not isinstance(params, dict):
+            raise _CliError(f"--params must be a JSON object, got {args.params}", USAGE_ERROR)
+        known = experiment_params(args.id)
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise _CliError(f"unknown --params for {args.id}: {', '.join(unknown)}; "
+                            f"choose from {', '.join(known)}", USAGE_ERROR)
     report = run_experiment(args.id, seed=args.seed, jobs=args.jobs, **params)
     outdir = _outdir(args)
     safe = args.id.replace(".", "_")

@@ -26,6 +26,7 @@ The three headline fixtures:
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,8 +42,6 @@ from .queries import LabeledQuery, QueryDistribution, StatQuery
 from .random_nets import random_net, random_query
 from .sampling import cond_freq, forward_sample
 from .scoring import empirical_err, true_err
-
-EXPERIMENT_IDS = ("ex4.1", "ex4.2", "ex4.3", "table1", "hoeffding")
 
 
 @dataclass(frozen=True)
@@ -469,17 +468,25 @@ def run_hoeffding(eps: float = 0.1, delta: float = 0.1, trials: int = 200,
     return report
 
 
+_RUNNERS: dict[str, Callable[..., ExperimentReport]] = {
+    "ex4.1": run_ex41, "ex4.2": run_ex42, "ex4.3": run_ex43,
+    "table1": run_table1, "hoeffding": run_hoeffding}
+EXPERIMENT_IDS = tuple(_RUNNERS)
+
+
+def experiment_params(experiment_id: str) -> tuple[str, ...]:
+    """Names :func:`run_experiment` accepts as parameter overrides for an
+    id; ``seed`` and ``jobs`` are its own arguments."""
+    return tuple(p for p in inspect.signature(_RUNNERS[experiment_id]).parameters
+                 if p not in ("seed", "jobs"))
+
+
 def run_experiment(experiment_id: str, seed: int = 0, jobs: int = 1, **params) -> ExperimentReport:
     """Dispatch by experiment id (``ex4.1``, ``ex4.2``, ``ex4.3``,
     ``table1``, ``hoeffding``)."""
-    if experiment_id == "ex4.1":
-        return run_ex41(seed=seed, **params)
-    if experiment_id == "ex4.2":
-        return run_ex42(seed=seed, jobs=jobs, **params)
-    if experiment_id == "ex4.3":
-        return run_ex43(seed=seed, jobs=jobs, **params)
-    if experiment_id == "table1":
-        return run_table1(seed=seed, **params)
-    if experiment_id == "hoeffding":
-        return run_hoeffding(seed=seed, **params)
-    raise KeyError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
+    if experiment_id not in _RUNNERS:
+        raise KeyError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
+    run = _RUNNERS[experiment_id]
+    if "jobs" in inspect.signature(run).parameters:
+        params["jobs"] = jobs
+    return run(seed=seed, **params)

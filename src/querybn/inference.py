@@ -1,8 +1,9 @@
 """Exact inference: variable elimination, an enumeration oracle, and the
 Markov-blanket fast path.
 
-``marginal`` answers B(assignment) by factor multiplication and summation
-under a greedy min-degree elimination ordering; ``enumerate_marginal`` is
+``marginal`` answers B(assignment) by variable elimination under a greedy
+min-degree ordering, each step one pairwise ``np.einsum`` contraction of
+the factors that touch the eliminated variable; ``enumerate_marginal`` is
 the brute-force cross-check, capped because the general problem is
 intractable.  ``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so
 its value (and its derivatives with respect to individual CPT entries)
@@ -16,7 +17,6 @@ with no global inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -42,12 +42,8 @@ class EnumerationCapExceeded(RuntimeError):
     """The net's joint state space exceeds the enumeration oracle's cap."""
 
 
-@dataclass(frozen=True)
-class Factor:
-    """Intermediate of variable elimination: a table over a variable scope."""
-
-    scope: tuple[str, ...]
-    table: np.ndarray  # ndim == len(scope)
+# Intermediate of variable elimination: a table with one axis per scope variable.
+Factor = tuple[tuple[str, ...], np.ndarray]
 
 
 def _consistent(a: Assignment, b: Assignment) -> bool:
@@ -55,32 +51,24 @@ def _consistent(a: Assignment, b: Assignment) -> bool:
     return all(b[k] == v for k, v in a.items() if k in b)
 
 
-def _cpt_factor(net: BayesNet, v: str, ev_codes: Mapping[str, int]) -> Factor:
-    ps = net.parents(v)
-    shape = tuple(net.arity(p) for p in ps) + (net.arity(v),)
-    table = net.cpts[v].table.reshape(shape)
-    scope = ps + (v,)
-    index = tuple(ev_codes[s] if s in ev_codes else slice(None) for s in scope)
-    reduced_scope = tuple(s for s in scope if s not in ev_codes)
-    return Factor(reduced_scope, np.asarray(table[index], dtype=float))
+def _contract(factors: list[Factor], out: tuple[str, ...]) -> np.ndarray:
+    """Product of ``factors`` summed onto ``out``, axes in ``out``'s order.
 
+    Factors are multiplied pairwise, since einsum takes at most 64 operands
+    and a naive Bayes class variable can touch more child factors.  Each call
+    numbers only its own variables, since einsum subscripts lie in [0, 52).
+    """
+    ids: dict[str, int] = {}
 
-def _align(f: Factor, scope: tuple[str, ...]) -> np.ndarray:
-    """View of ``f.table`` broadcastable over ``scope`` (a superset)."""
-    extra = len(scope) - len(f.scope)
-    t = f.table.reshape(f.table.shape + (1,) * extra)
-    positions = [scope.index(s) for s in f.scope]
-    return np.moveaxis(t, range(len(f.scope)), positions)
+    def sub(scope: tuple[str, ...]) -> list[int]:
+        return [ids.setdefault(v, len(ids)) for v in scope]
 
-
-def _multiply(a: Factor, b: Factor) -> Factor:
-    scope = a.scope + tuple(s for s in b.scope if s not in a.scope)
-    return Factor(scope, _align(a, scope) * _align(b, scope))
-
-
-def _sum_out(f: Factor, v: str) -> Factor:
-    ax = f.scope.index(v)
-    return Factor(f.scope[:ax] + f.scope[ax + 1:], f.table.sum(axis=ax))
+    scope, table = (), np.ones(())
+    for s, t in factors:
+        union = tuple(dict.fromkeys(scope + s))
+        table = np.einsum(table, sub(scope), t, sub(s), sub(union))
+        scope = union
+    return np.einsum(table, sub(scope), sub(out))
 
 
 def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mapping[str, int]) -> list[str]:
@@ -103,36 +91,32 @@ def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mappi
     return order
 
 
-def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> Factor:
-    """Sum out every variable outside ``evidence`` and ``keep``.
+def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np.ndarray:
+    """Sum out every variable outside ``evidence`` and ``keep`` (disjoint).
 
-    The returned factor has scope exactly ``keep`` (in net order) and sums
-    to the unnormalized mass of the evidence.
+    The returned table has one axis per variable of ``keep``, in ``keep``'s
+    order, and sums to the unnormalized mass of the evidence.
     """
     check_assignment(net, evidence)
     ev_codes = {k: net.code(k, v) for k, v in evidence.items()}
-    factors = [_cpt_factor(net, v, ev_codes) for v in net.names]
+    factors: list[Factor] = []
+    for v in net.names:
+        scope = net.parents(v) + (v,)
+        table = net.cpts[v].table.reshape([net.arity(s) for s in scope])
+        index = tuple(ev_codes.get(s, slice(None)) for s in scope)
+        factors.append((tuple(s for s in scope if s not in ev_codes), table[index]))
     elim = {v for v in net.names if v not in ev_codes and v not in keep}
     rank = {v: i for i, v in enumerate(net.names)}
-    order = _min_degree_order([f.scope for f in factors], elim, rank)
-    for v in order:
-        touching = [f for f in factors if v in f.scope]
-        rest = [f for f in factors if v not in f.scope]
-        prod = touching[0]
-        for f in touching[1:]:
-            prod = _multiply(prod, f)
-        factors = rest + [_sum_out(prod, v)]
-    result = Factor((), np.asarray(1.0))
-    for f in factors:
-        result = _multiply(result, f)
-    keep_ordered = tuple(v for v in net.names if v in keep)
-    return Factor(keep_ordered, np.transpose(result.table, [result.scope.index(v) for v in keep_ordered])
-                  if result.scope else result.table)
+    for v in _min_degree_order([sc for sc, _ in factors], elim, rank):
+        touching = [f for f in factors if v in f[0]]
+        scope = tuple(u for u in dict.fromkeys(u for sc, _ in touching for u in sc) if u != v)
+        factors = [f for f in factors if v not in f[0]] + [(scope, _contract(touching, scope))]
+    return _contract(factors, keep)
 
 
 def marginal(net: BayesNet, a: Assignment) -> float:
     """B(a) for a partial assignment, by variable elimination."""
-    return float(_eliminate(net, a, ()).table)
+    return float(_eliminate(net, a, ()))
 
 
 def enumerate_marginal(net: BayesNet, a: Assignment, *, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -186,21 +170,14 @@ def family_posterior(net: BayesNet, v: str, evidence: Assignment) -> np.ndarray:
     Returns an array shaped like v's CPT.  Configurations that contradict
     the evidence get probability 0.
     """
-    ps = net.parents(v)
-    fam = ps + (v,)
-    free = tuple(f for f in fam if f not in evidence)
-    fac = _eliminate(net, evidence, free)
-    total = float(fac.table.sum())
+    fam = net.parents(v) + (v,)
+    table = _eliminate(net, evidence, tuple(f for f in fam if f not in evidence))
+    total = float(table.sum())
     if total <= 0.0:
         raise ZeroEvidence(evidence)
-    shape = tuple(net.arity(p) for p in ps) + (net.arity(v),)
-    out = np.zeros(shape)
-    index = tuple(net.code(f, evidence[f]) if f in evidence else slice(None) for f in fam)
-    # fac.scope orders free vars by net order; transpose into family order
-    perm = [fac.scope.index(f) for f in fam if f not in evidence]
-    out[index] = np.transpose(fac.table, perm) if perm else fac.table
-    rows = int(np.prod(shape[:-1], dtype=int)) if ps else 1
-    return out.reshape(rows, shape[-1]) / total
+    out = np.zeros([net.arity(f) for f in fam])
+    out[tuple(net.code(f, evidence[f]) if f in evidence else slice(None) for f in fam)] = table
+    return out.reshape(net.cpts[v].table.shape) / total
 
 
 def is_markov_blanket_query(net: BayesNet, q) -> bool:

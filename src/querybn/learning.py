@@ -57,14 +57,9 @@ def ofe(structure: BayesNet, data: Dataset, alpha: float = 0.0) -> BayesNet:
         raise ValueError("smoothing must be non-negative")
     cols = {v: data.column(v) for v in structure.names}
     tables: dict[str, np.ndarray] = {}
-    n = len(data)
     for v in structure.names:
-        arity = structure.arity(v)
-        n_rows = structure.cpts[v].table.shape[0]
-        rows = np.zeros(n, dtype=np.int64)
-        for p in structure.parents(v):
-            rows = rows * structure.arity(p) + data.codes[:, cols[p]]
-        flat = rows * arity + data.codes[:, cols[v]]
+        n_rows, arity = structure.cpts[v].table.shape
+        flat = structure.row_indices(v, data.codes, cols) * arity + data.codes[:, cols[v]]
         counts = np.bincount(flat, minlength=n_rows * arity).reshape(n_rows, arity).astype(float)
         counts += alpha
         totals = counts.sum(axis=1, keepdims=True)

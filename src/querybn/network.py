@@ -238,6 +238,14 @@ class BayesNet:
             idx = idx * self.arity(p) + self.code(p, assignment[p])
         return idx
 
+    def row_indices(self, name: str, codes: np.ndarray, cols: Mapping[str, int]) -> np.ndarray:
+        """:meth:`row_index` of every row of a code matrix whose column for
+        variable ``v`` is ``cols[v]``."""
+        rows = np.zeros(len(codes), dtype=np.int64)
+        for p in self.parents(name):
+            rows = rows * self.arity(p) + codes[:, cols[p]]
+        return rows
+
     def decode_row(self, name: str, row: int) -> dict[str, str]:
         """Inverse of :meth:`row_index`: parent labels for a canonical row."""
         ps = self.parents(name)

@@ -133,9 +133,10 @@ class QueryDistribution:
     """Normalized weighted set of distinct ground queries, optionally labeled.
 
     Atoms are ``(query, weight)`` or ``(query, weight, label)`` with label
-    ``None`` meaning unlabeled.  Duplicate queries are merged by summing
-    their weights; their labels must agree within ``1e-12``.  Weights must
-    total 1 within ``1e-6``; they are rescaled to sum to exactly 1.
+    ``None`` meaning unlabeled; a label must lie in [0, 1].  Duplicate
+    queries are merged by summing their weights; their labels must agree
+    within ``1e-12``.  Weights must total 1 within ``1e-6``; they are
+    rescaled to sum to exactly 1.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -146,6 +147,8 @@ class QueryDistribution:
             if w <= 0:
                 raise ValueError(f"query weight must be positive, got {w} for {q.id()}")
             lab = None if lab is None else float(lab)
+            if lab is not None and not 0.0 <= lab <= 1.0:
+                raise ValueError(f"label must be a probability, got {lab} for {q.id()}")
             w0, lab0 = merged.get(q, (0.0, None))
             if lab is not None and lab0 is not None and abs(lab - lab0) > 1e-12:
                 raise ValueError(f"conflicting labels for duplicate query {q.id()}")

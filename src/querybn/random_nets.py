@@ -34,15 +34,11 @@ def random_net(rng: np.random.Generator, n_vars: int = 5, arities: Sequence[int]
     dag = random_dag(rng, n_vars, max_parents)
     variables = [Variable(n, tuple(str(k) for k in range(int(rng.choice(arities)))))
                  for n in dag.nodes]
-    by_name = {v.name: v for v in variables}
+    net = BayesNet.uniform(variables, dag)
     tables = {}
     for v in variables:
-        rows = 1
-        for p in dag.parents[v.name]:
-            rows *= by_name[p].arity
-        raw = rng.dirichlet(np.ones(v.arity), size=rows)
+        raw = rng.dirichlet(np.ones(v.arity), size=net.cpts[v.name].table.shape[0])
         tables[v.name] = clamp_row(raw, interior / v.arity)
-    net = BayesNet.uniform(variables, dag)
     return net.with_tables(tables)
 
 

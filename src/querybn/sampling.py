@@ -109,15 +109,7 @@ def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -
     seed_note = int(seed) if isinstance(seed, (int, np.integer)) else None
     codes = np.zeros((n, len(net.names)), dtype=np.int64)
     for v in net.topological_order():
-        table = net.cpts[v].table
-        ps = net.parents(v)
-        if ps:
-            rows = np.zeros(n, dtype=np.int64)
-            for p in ps:
-                rows = rows * net.arity(p) + codes[:, cols[p]]
-        else:
-            rows = np.zeros(n, dtype=np.int64)
-        cum = np.cumsum(table[rows], axis=1)
+        cum = np.cumsum(net.cpts[v].table[net.row_indices(v, codes, cols)], axis=1)
         cum /= cum[:, -1:]  # a validated row may sum to 1 - 1e-9; u < 1 must not reach code arity
         u = rng.random(n)
         codes[:, cols[v]] = (u[:, None] >= cum).sum(axis=1)

@@ -185,9 +185,7 @@ def _log_joint_per_tuple(b: BayesNet, data: Dataset) -> np.ndarray:
     n = len(data)
     logp = np.zeros(n)
     for v in b.names:
-        rows = np.zeros(n, dtype=np.int64)
-        for p in b.parents(v):
-            rows = rows * b.arity(p) + data.codes[:, cols[p]]
+        rows = b.row_indices(v, data.codes, cols)
         vals = b.cpts[v].table[rows, data.codes[:, cols[v]]]
         if np.any(vals <= 0.0):
             i = int(np.argmax(vals <= 0.0))

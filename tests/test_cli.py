@@ -108,6 +108,17 @@ class TestEvalCommand:
         assert main(["eval", "--net", str(npath), "--queries", str(qpath),
                      "--truth", str(tpath), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("label", [1.5, float("nan")])
+    @pytest.mark.parametrize("command", [["eval"], ["learn", "--mode", "qfit"]])
+    def test_label_outside_unit_interval_exits_two(self, ex41_files, tmp_path, capsys,
+                                                   command, label):
+        qpath = tmp_path / "q.json"
+        save_queries(qpath, [(StatQuery({"C": "1"}, {"A": "1"}), 1.0, label)])
+        assert main([*command, "--net", str(ex41_files["bp"]), "--queries", str(qpath),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse query file" in err and "P(C=1 | A=1)" in err
+
 
 class TestLearnCommand:
     def test_ofe_recovers_bp_entries(self, ex41_files, tmp_path):
@@ -223,6 +234,17 @@ class TestReproCommand:
         out = tmp_path / "out"
         assert main(["repro", "--id", "ex4.3", "--out", str(out), "--seed", "1",
                      "--params", '{"n": 10, "n_samples": 1000, "trials": 10}']) == 0
+
+    def test_non_object_params_exit_two(self, tmp_path, capsys):
+        assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),
+                     "--params", "[1]"]) == 2
+        assert "--params must be a JSON object" in capsys.readouterr().err
+
+    def test_unknown_params_exit_two_and_are_named(self, tmp_path, capsys):
+        assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),
+                     "--params", '{"bogus": 1, "seed": 3, "trials": 10}']) == 2
+        err = capsys.readouterr().err
+        assert "bogus, seed" in err and "trials" in err.split("choose from")[1]
 
     def test_failing_criteria_exit_one(self, tmp_path):
         # 200 samples are too few for the direct estimator's 0.05 band at

@@ -44,24 +44,40 @@ class TestUnnormalizedTables:
 
 
 class TestFamilyPosterior:
+    @staticmethod
+    def assert_matches_enumeration(net, v, evidence):
+        table = family_posterior(net, v, evidence)
+        assert table.shape == net.cpts[v].table.shape
+        p_e = enumerate_marginal(net, evidence)
+        for row in range(table.shape[0]):
+            for k in range(table.shape[1]):
+                event = dict(net.decode_row(v, row))
+                event[v] = net.label(v, k)
+                if any(event.get(f) != evidence[f] for f in event if f in evidence):
+                    expected = 0.0
+                else:
+                    expected = enumerate_marginal(net, {**evidence, **event}) / p_e
+                assert table[row, k] == pytest.approx(expected, abs=1e-12)
+
     def test_matches_enumeration_ratios(self):
         rng = np.random.default_rng(71)
         for _ in range(8):
             net = random_net(rng, n_vars=5, arities=(2, 3), max_parents=2)
             q = random_query(rng, net, max_target=0 or 1, max_evidence=2)
-            evidence = q.evidence
-            v = str(rng.choice(net.names))
-            table = family_posterior(net, v, evidence)
-            p_e = enumerate_marginal(net, evidence)
-            for row in range(table.shape[0]):
-                for k in range(table.shape[1]):
-                    event = dict(net.decode_row(v, row))
-                    event[v] = net.label(v, k)
-                    if any(event.get(f) != evidence[f] for f in event if f in evidence):
-                        expected = 0.0
-                    else:
-                        expected = enumerate_marginal(net, {**evidence, **event}) / p_e
-                    assert table[row, k] == pytest.approx(expected, abs=1e-12)
+            self.assert_matches_enumeration(net, str(rng.choice(net.names)), q.evidence)
+
+    def test_parent_order_differs_from_variable_order(self):
+        # C's declared parents are (B, A) while the net orders A before B;
+        # random_dag always sorts parents, so only a hand-built net has this
+        rng = np.random.default_rng(72)
+        variables = [("A", "01"), ("B", "xyz"), ("C", "01"), ("D", "01")]
+        edges = [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")]
+        shapes = {"A": (1, 2), "B": (2, 3), "C": (6, 2), "D": (2, 2)}
+        net = make_net(variables, edges,
+                       {v: rng.dirichlet(np.ones(s[1]), size=s[0]) for v, s in shapes.items()})
+        assert net.parents("C") == ("B", "A")
+        for evidence in ({}, {"A": "1"}, {"B": "z"}, {"A": "0", "D": "1"}):
+            self.assert_matches_enumeration(net, "C", evidence)
 
 
 class TestTernaryFitting:

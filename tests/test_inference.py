@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from querybn import StatQuery, ZeroEvidence
-from querybn.experiments import ex41_bp, ex41_bsq
+from querybn.experiments import ex41_bp, ex41_bsq, ex42_truth
 from querybn.inference import (EnumerationCapExceeded, answer, cond_prob,
                                enumerate_marginal, is_markov_blanket_query,
                                marginal, mb_posterior, mb_query)
@@ -79,6 +79,17 @@ class TestCondProb:
             lhs = cond_prob(net, q.target, q.evidence) * marginal(net, q.evidence)
             rhs = marginal(net, {**q.target, **q.evidence})
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_naive_bayes_with_a_hundred_children_matches_closed_form(self):
+        # 101 factors touch C and 56 variables are summed out: more than
+        # einsum's 64 operands in one call and its 52 subscript letters
+        net = ex42_truth(100)
+        y = {f"A{i}": "0" if i <= 5 else "1" for i in range(1, 46)}
+        log_c0 = np.log(0.5) + 5 * np.log(0.2) + 40 * np.log(0.8)
+        log_c1 = np.log(0.5) + 5 * np.log(0.05) + 40 * np.log(0.95)
+        expected = 1.0 / (1.0 + np.exp(log_c1 - log_c0))
+        assert 0.1 < expected < 0.9
+        assert cond_prob(net, {"C": "0"}, y) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_evidence_raises(self):
         net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
