@@ -88,7 +88,7 @@ def cmd_eval(args) -> int:
             truth = _load_net_or_fail(args.truth)
             report = true_err(net, dist, truth)
         elif args.data:
-            data = load_dataset(args.data, net)
+            data = _load_or_fail("data", args.data, lambda p: load_dataset(p, net))
             report = empirical_err_from_events(net, dist.queries(), data)
         elif dist.fully_labeled():
             report = empirical_err(net, dist.labeled())
@@ -109,8 +109,11 @@ def cmd_eval(args) -> int:
 
 
 def _fit_options(args) -> FitOptions:
-    return FitOptions(init=args.init, restarts=args.restarts, max_iters=args.max_iters,
-                      tol=args.tol, eps_clamp=args.clamp, seed=args.seed)
+    try:
+        return FitOptions(init=args.init, restarts=args.restarts, max_iters=args.max_iters,
+                          tol=args.tol, eps_clamp=args.clamp, seed=args.seed)
+    except ValueError as exc:
+        raise _CliError(f"invalid fit options: {exc}", USAGE_ERROR)
 
 
 def cmd_learn(args) -> int:
@@ -119,7 +122,7 @@ def cmd_learn(args) -> int:
     if args.mode == "ofe":
         if not args.data:
             raise _CliError("learn --mode ofe requires --data", USAGE_ERROR)
-        data = load_dataset(args.data, structure)
+        data = _load_or_fail("data", args.data, lambda p: load_dataset(p, structure))
         fitted = ofe(structure, data, alpha=args.alpha)
         save_net(fitted, os.path.join(outdir, "net.json"))
         print(f"wrote {os.path.join(outdir, 'net.json')}")
@@ -127,6 +130,7 @@ def cmd_learn(args) -> int:
 
     if not args.queries:
         raise _CliError("learn --mode qfit requires --queries", USAGE_ERROR)
+    opts = _fit_options(args)
     dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, structure))
     try:
         if dist.fully_labeled():
@@ -135,7 +139,7 @@ def cmd_learn(args) -> int:
             truth = _load_net_or_fail(args.truth)
             labeled = label_queries(truth, dist.queries())
         elif args.data:
-            data = load_dataset(args.data, structure)
+            data = _load_or_fail("data", args.data, lambda p: load_dataset(p, structure))
             labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
                        for q in dist.queries()]
         else:
@@ -144,7 +148,7 @@ def cmd_learn(args) -> int:
                 USAGE_ERROR)
     except ValueError as exc:  # ZeroEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
-    result = fit_cpt(structure, labeled, _fit_options(args))
+    result = fit_cpt(structure, labeled, opts, init_net=structure)
     violations = validate(result.net)
     if violations:  # fitted nets are clamped by construction; this is a safety net
         raise _CliError("fitted net failed validation: " + "; ".join(violations), DOMAIN_ERROR)
@@ -186,6 +190,16 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _param_fits(value, default) -> bool:
+    """Whether a JSON ``--params`` value can stand in for a runner default:
+    an int for an int, any number for a float, a list of such for a tuple."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_param_fits(v, default[0]) for v in value)
+    if isinstance(value, bool) or not isinstance(default, (int, float)):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else int)
+
+
 def cmd_repro(args) -> int:
     if args.id not in EXPERIMENT_IDS:
         raise _CliError(f"unknown experiment id {args.id!r}; choose from {EXPERIMENT_IDS}",
@@ -203,6 +217,11 @@ def cmd_repro(args) -> int:
         if unknown:
             raise _CliError(f"unknown --params for {args.id}: {', '.join(unknown)}; "
                             f"choose from {', '.join(known)}", USAGE_ERROR)
+        for name, value in params.items():
+            if not _param_fits(value, known[name]):
+                like = list(known[name]) if isinstance(known[name], tuple) else known[name]
+                raise _CliError(f"--params {name} must be like {json.dumps(like)}, "
+                                f"got {json.dumps(value)}", USAGE_ERROR)
     report = run_experiment(args.id, seed=args.seed, jobs=args.jobs, **params)
     outdir = _outdir(args)
     safe = args.id.replace(".", "_")
@@ -245,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", help="query file (qfit mode)")
     p.add_argument("--truth", help="truth net used to label queries (qfit mode)")
     p.add_argument("--alpha", type=float, default=0.0, help="Laplace smoothing for ofe")
-    p.add_argument("--init", choices=("uniform", "dirichlet", "ofe", "net"),
-                   default="dirichlet")
+    p.add_argument("--init", choices=("uniform", "dirichlet", "net"), default="dirichlet",
+                   help="first restart's start; net: the --net file's own tables")
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--max-iters", type=int, default=500, dest="max_iters")
     p.add_argument("--tol", type=float, default=1e-8)

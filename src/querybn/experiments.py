@@ -123,7 +123,7 @@ def _map_trials(fn: Callable, args: Sequence, jobs: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * jobs))))
-    except (OSError, PermissionError, NotImplementedError):
+    except (OSError, NotImplementedError):
         return [fn(a) for a in args]
 
 
@@ -355,8 +355,7 @@ def run_ex43(n: int = 10, n_samples: int = 1000, trials: int = 100, seed: int = 
 
 
 def run_comparison(truth: BayesNet, structure: BayesNet, dist: QueryDistribution,
-                   sample_sizes: Sequence[int], seed: int = 0, alpha: float = 0.0,
-                   fit_opts: FitOptions | None = None) -> list[dict]:
+                   sample_sizes: Sequence[int], seed: int = 0) -> list[dict]:
     """err curves for OFE and for query fitting on one structure.
 
     OFE learns from sampled tuples; the query fitter labels the support
@@ -364,10 +363,10 @@ def run_comparison(truth: BayesNet, structure: BayesNet, dist: QueryDistribution
     fits the structure against them.
     """
     out = []
-    opts = fit_opts or FitOptions(restarts=5, max_iters=500, seed=seed)
+    opts = FitOptions(restarts=5, max_iters=500, seed=seed)
     for i, size in enumerate(sample_sizes):
         data = forward_sample(truth, size, seed=np.random.SeedSequence([seed, i]))
-        ofe_net = ofe(structure, data, alpha=alpha)
+        ofe_net = ofe(structure, data)
         out.append({"method": "ofe", "size": size,
                     "err": true_err(ofe_net, dist, truth).aggregate})
         labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
@@ -474,11 +473,11 @@ _RUNNERS: dict[str, Callable[..., ExperimentReport]] = {
 EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
-def experiment_params(experiment_id: str) -> tuple[str, ...]:
-    """Names :func:`run_experiment` accepts as parameter overrides for an
-    id; ``seed`` and ``jobs`` are its own arguments."""
-    return tuple(p for p in inspect.signature(_RUNNERS[experiment_id]).parameters
-                 if p not in ("seed", "jobs"))
+def experiment_params(experiment_id: str) -> dict[str, object]:
+    """Parameter overrides :func:`run_experiment` accepts for an id, as
+    name -> default; ``seed`` and ``jobs`` are its own arguments."""
+    params = inspect.signature(_RUNNERS[experiment_id]).parameters
+    return {name: p.default for name, p in params.items() if name not in ("seed", "jobs")}
 
 
 def run_experiment(experiment_id: str, seed: int = 0, jobs: int = 1, **params) -> ExperimentReport:

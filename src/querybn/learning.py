@@ -22,8 +22,11 @@ assignment follow the closed form
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
 and stay strictly inside the simplex; entry gradients are chained
-through the softmax Jacobian.  Scores are clipped to +-score_bound and
-materialized rows are clamped into [eps_clamp, 1 - eps_clamp].
+through the softmax Jacobian.  Scores are clipped to +-``SCORE_BOUND``
+and materialized rows are clamped into [eps_clamp, 1 - eps_clamp].
+Random starts draw rows from a symmetric Dirichlet(``DIRICHLET_ALPHA``);
+each restart's line search first tries ``FIRST_STEP`` and halves a step
+at most ``MAX_HALVINGS`` times before the restart stalls.
 """
 
 from __future__ import annotations
@@ -37,9 +40,15 @@ import numpy as np
 from . import bounds
 from .inference import (ZeroEvidence, cond_prob, family_posterior,
                         is_markov_blanket_query, mb_posterior)
-from .network import Assignment, BayesNet, EntryId, clamp_row, d_separated
+from .network import BayesNet, EntryId, clamp_row, d_separated
 from .queries import LabeledQuery, StatQuery
 from .sampling import Dataset, collect_until_matched, cond_freq
+from .scoring import empirical_err
+
+DIRICHLET_ALPHA = 1.0
+FIRST_STEP = 1.0
+MAX_HALVINGS = 30
+SCORE_BOUND = 30.0
 
 
 # -- observed frequency estimates -------------------------------------------------
@@ -208,14 +217,11 @@ def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: fl
         g[var][row, col] += numer / entry
 
     own_row = b.row_index(v, y)
+    local = dict(y)
     for k in range(b.arity(v)):
         numer = coeff * (1.0 - B) if k == val else -coeff * float(post[k])
         add(v, own_row, k, numer)
-
-    local = dict(y)
-    for k in range(b.arity(v)):
         local[v] = b.label(v, k)
-        numer = coeff * (1.0 - B) if k == val else -coeff * float(post[k])
         for c in b.children(v):
             add(c, b.row_index(c, local), b.code(c, y[c]), numer)
 
@@ -239,32 +245,31 @@ class FitOptions:
     """Knobs for :func:`fit_cpt`.
 
     ``init`` selects the first restart's starting point: ``"uniform"``,
-    ``"dirichlet"`` (symmetric, ``dirichlet_alpha``), ``"ofe"`` (requires
-    ``init_data``), or ``"net"`` (requires ``init_net``).  Restarts after
+    ``"dirichlet"`` (symmetric, ``DIRICHLET_ALPHA``) or ``"net"`` (the
+    tables of ``fit_cpt``'s ``init_net``; pass ``ofe(structure, data,
+    alpha=1.0)`` there to start from observed frequencies).  Restarts after
     the first always draw fresh Dirichlet rows, since deterministic inits
-    would just repeat themselves.
+    would just repeat themselves.  The first line-search step, the halving
+    limit and the score clip are the module constants ``FIRST_STEP``,
+    ``MAX_HALVINGS`` and ``SCORE_BOUND``.
     """
 
     init: str = "dirichlet"
-    dirichlet_alpha: float = 1.0
     restarts: int = 5
     max_iters: int = 200
-    step: float = 1.0
-    max_halvings: int = 30
     tol: float = 1e-8
     eps_clamp: float = 1e-6
     seed: int = 0
-    score_bound: float = 30.0
 
     def __post_init__(self):
-        if self.init not in ("uniform", "dirichlet", "ofe", "net"):
+        if self.init not in ("uniform", "dirichlet", "net"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
         if not 0.0 < self.eps_clamp < 0.5:
             raise ValueError("eps_clamp must lie in (0, 0.5)")
-        if self.step <= 0 or self.tol < 0 or self.score_bound <= 0:
-            raise ValueError("step and score_bound must be positive, tol non-negative")
+        if self.tol < 0:
+            raise ValueError("tol must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,6 @@ def _grad_norm(g: Mapping[str, np.ndarray]) -> float:
 
 
 def _empirical_err_value(net: BayesNet, qs: Sequence[LabeledQuery]) -> float:
-    from .scoring import empirical_err  # local import to avoid a cycle
-
     report = empirical_err(net, qs)
     if report.n_errors:
         bad = next(r.query for r in report.rows if r.note is not None)
@@ -336,48 +339,35 @@ def _empirical_err_value(net: BayesNet, qs: Sequence[LabeledQuery]) -> float:
     return report.aggregate
 
 
-def _scores_from_tables(structure: BayesNet, tables: Mapping[str, np.ndarray],
-                        bound: float, eps: float) -> dict[str, np.ndarray]:
-    """Scores whose materialization reproduces the given rows.
+def _scores_from_net(structure: BayesNet, net: BayesNet, eps: float) -> dict[str, np.ndarray]:
+    """Scores whose materialization reproduces ``net``'s rows.
 
     Inverts entry = eps + (1 - m*eps) softmax(s); rows with entries at or
     below the clamp floor land on the floor instead.
     """
     out = {}
     for v in structure.names:
-        t = np.asarray(tables[v], dtype=float)
-        m = t.shape[1]
-        inner = np.clip((t - eps) / (1.0 - m * eps), 1e-300, None)
-        s = np.log(inner)
-        s = s - s.mean(axis=1, keepdims=True)
-        out[v] = np.clip(s, -bound, bound)
+        t = net.cpts[v].table
+        s = np.log(np.clip((t - eps) / (1.0 - t.shape[1] * eps), 1e-300, None))
+        out[v] = s - s.mean(axis=1, keepdims=True)
     return out
 
 
 def _initial_scores(structure: BayesNet, opts: FitOptions, restart: int,
-                    rng: np.random.Generator, init_net: BayesNet | None,
-                    init_data: Dataset | None) -> dict[str, np.ndarray]:
+                    rng: np.random.Generator, init_net: BayesNet | None) -> dict[str, np.ndarray]:
     shapes = {v: structure.cpts[v].table.shape for v in structure.names}
     if restart > 0 or opts.init == "dirichlet":
-        alpha = opts.dirichlet_alpha
-        return {v: np.log(rng.dirichlet([alpha] * shape[1], size=shape[0]))
+        return {v: np.log(rng.dirichlet([DIRICHLET_ALPHA] * shape[1], size=shape[0]))
                 for v, shape in shapes.items()}
     if opts.init == "uniform":
         return {v: np.zeros(shape) for v, shape in shapes.items()}
-    if opts.init == "ofe":
-        if init_data is None:
-            raise ValueError("init='ofe' requires init_data")
-        fitted = ofe(structure, init_data, alpha=1.0)
-        return _scores_from_tables(structure, {v: fitted.cpts[v].table for v in structure.names},
-                                   opts.score_bound, opts.eps_clamp)
     if init_net is None:
         raise ValueError("init='net' requires init_net")
-    return _scores_from_tables(structure, {v: init_net.cpts[v].table for v in structure.names},
-                               opts.score_bound, opts.eps_clamp)
+    return _scores_from_net(structure, init_net, opts.eps_clamp)
 
 
 def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = FitOptions(),
-            *, init_net: BayesNet | None = None, init_data: Dataset | None = None,
+            *, init_net: BayesNet | None = None,
             on_step: Callable[[BayesNet, int, float], None] | None = None) -> FitResult:
     """Fit CPTs to labeled queries by clamped gradient descent with restarts.
 
@@ -394,12 +384,11 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     trace: list[TraceRow] = []
     best: tuple[float, int, BayesNet, bool] | None = None
     for restart in range(opts.restarts):
-        scores = {v: np.clip(s, -opts.score_bound, opts.score_bound)
-                  for v, s in _initial_scores(structure, opts, restart, rng,
-                                              init_net, init_data).items()}
+        scores = {v: np.clip(s, -SCORE_BOUND, SCORE_BOUND)
+                  for v, s in _initial_scores(structure, opts, restart, rng, init_net).items()}
         net = _materialize(structure, scores, opts.eps_clamp)
         err = _empirical_err_value(net, qs)
-        step = opts.step
+        step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
             g_entries = grad(net, qs)
@@ -411,8 +400,8 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
                 break
             accepted = False
             t = step
-            for _ in range(opts.max_halvings + 1):
-                candidate = {v: np.clip(s - t * g_scores[v], -opts.score_bound, opts.score_bound)
+            for _ in range(MAX_HALVINGS + 1):
+                candidate = {v: np.clip(s - t * g_scores[v], -SCORE_BOUND, SCORE_BOUND)
                              for v, s in scores.items()}
                 cand_net = _materialize(structure, candidate, opts.eps_clamp)
                 cand_err = _empirical_err_value(cand_net, qs)
@@ -445,14 +434,7 @@ def fit_cpt_from_events(structure: BayesNet, qs: Sequence[StatQuery], source: Ba
     if not qs:
         raise ValueError("fit_cpt_from_events needs at least one query")
     per = bounds.m_prime_d(eps, delta, bounds.m_sq(eps, delta))
-    seen: list[Assignment] = []
-    keys = set()
-    for q in qs:
-        key = tuple(sorted(q.evidence.items()))
-        if key not in keys:
-            keys.add(key)
-            seen.append(q.evidence)
-    data = collect_until_matched(source, seen, per, cap=cap, seed=opts.seed)
+    data = collect_until_matched(source, [q.evidence for q in qs], per, cap=cap, seed=opts.seed)
     labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence)) for q in qs]
     result = fit_cpt(structure, labeled, opts)
     result.labeled_queries = labeled

@@ -257,9 +257,6 @@ class BayesNet:
         codes.reverse()
         return {p: self.label(p, c) for p, c in zip(ps, codes)}
 
-    def entry_value(self, e: EntryId) -> float:
-        return float(self.cpts[e.var].table[e.row, e.value])
-
     def entry_ids(self, name: str | None = None) -> list[EntryId]:
         """All entry ids of one variable (or of the whole net)."""
         names = [name] if name is not None else list(self.names)

@@ -190,12 +190,12 @@ def cond_freq(data: Dataset, x: Assignment, y: Assignment) -> float:
 
 
 def save_dataset(data: Dataset, path) -> None:
+    columns = [np.asarray(dom, dtype=object)[data.codes[:, j]]
+               for j, dom in enumerate(data.domains)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(data.variables)
-        for i in range(len(data)):
-            row = data.labels(i)
-            w.writerow([row[v] for v in data.variables])
+        w.writerows(zip(*columns))
 
 
 def load_dataset(path, net: BayesNet) -> Dataset:

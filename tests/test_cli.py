@@ -8,7 +8,7 @@ import pytest
 
 from querybn import load_net, net_to_dict, save_net, true_err
 from querybn.cli import main
-from querybn.experiments import ex41_bp, ex41_distribution, ex41_truth
+from querybn.experiments import ex41_bp, ex41_bsq, ex41_distribution, ex41_truth
 from querybn.queries import save_queries, StatQuery
 from querybn.sampling import forward_sample, load_dataset, save_dataset
 
@@ -120,6 +120,30 @@ class TestEvalCommand:
         assert "cannot parse query file" in err and "P(C=1 | A=1)" in err
 
 
+class TestDataFileErrors:
+    COMMANDS = {
+        "eval": lambda f: ["eval", "--net", str(f["bp"]), "--queries", str(f["queries"])],
+        "learn-ofe": lambda f: ["learn", "--mode", "ofe", "--net", str(f["bp"])],
+        "learn-qfit": lambda f: ["learn", "--mode", "qfit", "--net", str(f["bp"]),
+                                 "--queries", str(f["queries"])],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_data_file_exits_two(self, ex41_files, tmp_path, capsys, command):
+        path = tmp_path / "nope.csv"
+        assert main([*self.COMMANDS[command](ex41_files), "--data", str(path),
+                     "--out", str(ex41_files["out"])]) == 2
+        assert f"cannot read data file: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_malformed_data_file_exits_two(self, ex41_files, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,X,Q\n0,1,0\n")
+        assert main([*self.COMMANDS[command](ex41_files), "--data", str(path),
+                     "--out", str(ex41_files["out"])]) == 2
+        assert f"cannot parse data file {path}" in capsys.readouterr().err
+
+
 class TestLearnCommand:
     def test_ofe_recovers_bp_entries(self, ex41_files, tmp_path):
         data = forward_sample(ex41_truth(), 10_000, seed=6)
@@ -160,6 +184,42 @@ class TestLearnCommand:
                      "--truth", str(ex41_files["truth"]),
                      "--restarts", "6", "--max-iters", "800",
                      "--out", str(out)]) == 0
+
+    def test_qfit_labels_via_data(self, ex41_files, tmp_path):
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 2000, seed=7), dpath)
+        assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                     "--queries", str(ex41_files["queries"]), "--data", str(dpath),
+                     "--restarts", "2", "--max-iters", "50",
+                     "--out", str(ex41_files["out"])]) == 0
+        assert (ex41_files["out"] / "net.json").exists()
+
+    def test_init_net_starts_from_the_net_file(self, ex41_files, tmp_path):
+        from querybn import empirical_err
+        from querybn.experiments import ex41_labeled_queries
+
+        npath = tmp_path / "bsq.json"
+        save_net(ex41_bsq(), npath)
+        out = ex41_files["out"]
+        assert main(["learn", "--mode", "qfit", "--net", str(npath), "--init", "net",
+                     "--queries", str(ex41_files["labeled"]),
+                     "--restarts", "1", "--max-iters", "1", "--out", str(out)]) == 0
+        net = load_net(out / "net.json")
+        assert empirical_err(net, ex41_labeled_queries()).aggregate < 1e-9
+
+    def test_ofe_init_is_not_a_choice(self, ex41_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]), "--init", "ofe",
+                  "--queries", str(ex41_files["labeled"]), "--out", str(ex41_files["out"])])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--restarts", "0"], ["--max-iters", "0"],
+                                      ["--tol", "-1"], ["--clamp", "0.6"]])
+    def test_invalid_fit_options_exit_two(self, ex41_files, capsys, flag):
+        assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                     "--queries", str(ex41_files["labeled"]), *flag,
+                     "--out", str(ex41_files["out"])]) == 2
+        assert "invalid fit options" in capsys.readouterr().err
 
     def test_ofe_without_data_exits_two(self, ex41_files):
         assert main(["learn", "--mode", "ofe", "--net", str(ex41_files["bp"]),
@@ -245,6 +305,24 @@ class TestReproCommand:
                      "--params", '{"bogus": 1, "seed": 3, "trials": 10}']) == 2
         err = capsys.readouterr().err
         assert "bogus, seed" in err and "trials" in err.split("choose from")[1]
+
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("hoeffding", '{"trials": "x"}', '--params trials must be like 200, got "x"'),
+        ("hoeffding", '{"trials": true}', "--params trials must be like 200, got true"),
+        ("ex4.2", '{"sample_sizes": ["a"]}',
+         '--params sample_sizes must be like [500, 1000, 2000, 4000], got ["a"]'),
+    ], ids=["trials-string", "trials-bool", "sample_sizes-string"])
+    def test_wrongly_typed_params_exit_two(self, tmp_path, capsys, experiment, params, message):
+        assert main(["repro", "--id", experiment, "--out", str(tmp_path / "o"),
+                     "--params", params]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_param_types_follow_the_defaults(self):
+        from querybn.cli import _param_fits
+
+        assert _param_fits(1, 0.1) and _param_fits(0.5, 0.1) and _param_fits([1, 2], (500,))
+        assert not _param_fits(1.0, 200) and not _param_fits(True, 0.1)
+        assert not _param_fits([1.5], (500,)) and not _param_fits(500, (500,))
 
     def test_failing_criteria_exit_one(self, tmp_path):
         # 200 samples are too few for the direct estimator's 0.05 band at

@@ -286,6 +286,27 @@ class TestFitCpt:
         assert not any(row.accepted for row in fit.trace)
         assert fit.err == pytest.approx(0.0, abs=1e-9)
 
+    def test_uniform_init_on_ex41_is_a_converged_stall_point(self):
+        fit = fit_cpt(ex41_structure(), ex41_labeled_queries(),
+                      FitOptions(init="uniform", restarts=1, max_iters=50, seed=0))
+        assert len(fit.trace) == 1
+        assert fit.trace[0].err == 0.25
+        assert fit.trace[0].grad_norm == 0.0
+        assert fit.converged
+
+    def test_init_net_from_ofe_starts_at_the_ofe_error(self):
+        from querybn.scoring import empirical_err
+
+        structure, lqs = ex41_structure(), ex41_labeled_queries()
+        start = ofe(structure, forward_sample(ex41_truth(), 500, seed=11), alpha=1.0)
+        fit = fit_cpt(structure, lqs, FitOptions(init="net", restarts=1, max_iters=5, seed=0),
+                      init_net=start)
+        assert fit.trace[0].err == pytest.approx(empirical_err(start, lqs).aggregate, abs=1e-12)
+
+    def test_ofe_init_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown init"):
+            FitOptions(init="ofe")
+
     def test_accepted_err_sequence_is_monotone(self):
         fit = fit_cpt(ex41_structure(), ex41_labeled_queries(),
                       FitOptions(restarts=3, max_iters=300, seed=2))

@@ -146,6 +146,22 @@ class TestDatasetFile:
         order = [loaded.column(v) for v in data.variables]
         assert np.array_equal(loaded.codes[:, order], data.codes)
 
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_matches_a_row_by_row_writer(self, tmp_path, n):
+        import csv
+
+        net = make_net([("A", ["lo", "a,b"]), ("B", ['q"t', "x", ""])], [("A", "B")],
+                       {"A": [[0.5, 0.5]], "B": [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]})
+        data = forward_sample(net, n, seed=16)
+        path, reference = tmp_path / "d.csv", tmp_path / "ref.csv"
+        save_dataset(data, path)
+        with open(reference, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(data.variables)
+            for i in range(len(data)):
+                w.writerow([data.labels(i)[v] for v in data.variables])
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_byte_identical_across_runs(self, tmp_path):
         net = ex41_truth()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
