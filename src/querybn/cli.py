@@ -222,7 +222,12 @@ def cmd_repro(args) -> int:
                 like = list(known[name]) if isinstance(known[name], tuple) else known[name]
                 raise _CliError(f"--params {name} must be like {json.dumps(like)}, "
                                 f"got {json.dumps(value)}", USAGE_ERROR)
-    report = run_experiment(args.id, seed=args.seed, jobs=args.jobs, **params)
+    try:
+        report = run_experiment(args.id, seed=args.seed, jobs=args.jobs, **params)
+    except ZeroEvidence:  # a ValueError too, but a fault of the run, not of its arguments
+        raise
+    except ValueError as exc:
+        raise _CliError(f"invalid arguments for {args.id}: {exc}", USAGE_ERROR)
     outdir = _outdir(args)
     safe = args.id.replace(".", "_")
     report.write_json(os.path.join(outdir, f"{safe}_report.json"))

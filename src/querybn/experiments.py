@@ -264,6 +264,8 @@ def run_ex42(n: int = 10, sample_sizes: Sequence[int] = (500, 1000, 2000, 4000),
              criterion_size: int = 2000) -> ExperimentReport:
     if n < 4:
         raise ValueError("ex4.2 needs at least 4 attributes")
+    if not sample_sizes:
+        raise ValueError("ex4.2 needs at least one sample size")
     report = ExperimentReport("ex4.2", seed, {
         "n": n, "sample_sizes": list(sample_sizes), "trials": trials,
         "truth": {"p_c0": 0.5, "p_a0_c0": 0.2, "p_a0_c1": 0.05},

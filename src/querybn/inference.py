@@ -3,12 +3,20 @@ Markov-blanket fast path.
 
 ``marginal`` answers B(assignment) by variable elimination under a greedy
 min-degree ordering, each step one pairwise ``np.einsum`` contraction of
-the factors that touch the eliminated variable; ``enumerate_marginal`` is
-the brute-force cross-check, capped because the general problem is
-intractable.  ``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so
-its value (and its derivatives with respect to individual CPT entries)
-stay well defined even for tables whose rows do not sum to one; gradient
-checks rely on this.
+the factors that touch the eliminated variable.  The order and every
+step's subscripts depend only on the structure, on which variables are
+observed and on which are kept, so they are compiled once into a plan
+and cached by those values (at most ``PLAN_CACHE_SIZE`` plans); a call
+only slices the CPTs by the evidence codes and replays the steps.  One
+reverse sweep over the same plan gives the derivative of B(evidence)
+with respect to every CPT entry (Darwiche's differential approach), which
+the gradient fitter uses.  ``enumerate_marginal`` is the brute-force
+cross-check, capped because the general problem is intractable.
+
+``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so its value
+(and its derivatives with respect to individual CPT entries) stay well
+defined even for tables whose rows do not sum to one; gradient checks
+rely on this.  Plans therefore keep barren variables too.
 
 ``mb_query`` answers single-variable queries whose evidence covers the
 target's Markov blanket using only the CPT rows of the target's family,
@@ -17,6 +25,8 @@ with no global inference.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +34,7 @@ import numpy as np
 from .network import Assignment, BayesNet, check_assignment
 
 DEFAULT_ENUM_CAP = 22  # binary-equivalent variables: caps joint size at 2**22
+PLAN_CACHE_SIZE = 512  # compiled elimination plans kept; the least recently used goes first
 
 
 class ZeroEvidence(ValueError):
@@ -51,26 +62,6 @@ def _consistent(a: Assignment, b: Assignment) -> bool:
     return all(b[k] == v for k, v in a.items() if k in b)
 
 
-def _contract(factors: list[Factor], out: tuple[str, ...]) -> np.ndarray:
-    """Product of ``factors`` summed onto ``out``, axes in ``out``'s order.
-
-    Factors are multiplied pairwise, since einsum takes at most 64 operands
-    and a naive Bayes class variable can touch more child factors.  Each call
-    numbers only its own variables, since einsum subscripts lie in [0, 52).
-    """
-    ids: dict[str, int] = {}
-
-    def sub(scope: tuple[str, ...]) -> list[int]:
-        return [ids.setdefault(v, len(ids)) for v in scope]
-
-    scope, table = (), np.ones(())
-    for s, t in factors:
-        union = tuple(dict.fromkeys(scope + s))
-        table = np.einsum(table, sub(scope), t, sub(s), sub(union))
-        scope = union
-    return np.einsum(table, sub(scope), sub(out))
-
-
 def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mapping[str, int]) -> list[str]:
     """Greedy min-degree ordering on the interaction graph of the scopes."""
     neighbors: dict[str, set[str]] = {v: set() for sc in scopes for v in sc}
@@ -91,27 +82,137 @@ def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mappi
     return order
 
 
+# (a, subscripts of a, b or None, subscripts of b, output subscripts, reverse-pass data)
+_Sub = tuple[int, ...]
+_ALL = slice(None)  # one object shared by every cached index
+_Step = tuple[int, _Sub, int | None, _Sub | None, _Sub, tuple | None]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Variable elimination compiled for one structure, one set of observed
+    variables and one kept tuple; it never looks at table values.
+
+    Registers ``0 .. n-1`` hold the variables' CPTs (net order), each
+    reshaped to its family and sliced by the evidence codes; step ``k``
+    writes register ``n + k`` and the last step's register is the result.
+    A step ``(a, sa, b, sb, out, back)`` is ``einsum(reg[a], sa, reg[b],
+    sb, out)``, a pairwise product onto the union of both scopes, or, when
+    ``b`` is None, ``einsum(reg[a], sa, out)``, a sum or a transpose whose
+    reverse pass needs ``back = (subscripts of out in sa's order, an index
+    that inserts a new axis at each summed position)``.  Every register
+    feeds exactly one step.
+    """
+
+    families: tuple[tuple[str, ...], ...]  # parents, then the variable
+    shapes: tuple[tuple[int, ...], ...]  # each family's table shape
+    steps: tuple[_Step, ...]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) -> _Plan:
+    """The plan that sums every variable outside ``observed`` and ``keep``.
+
+    The steps are the pairwise einsum calls, subscripts included, that
+    eliminating the variables in min-degree order makes, so replaying them
+    gives the same bits as eliminating afresh.  A contraction starts from
+    its first factor itself, not from a product with the scalar 1, which
+    is exact.  Each contraction numbers only its own variables, since
+    einsum subscripts lie in [0, 52).
+    """
+    arity = {v: a for v, a, _ in signature}
+    families = tuple(ps + (v,) for v, _, ps in signature)
+    n = len(signature)
+    steps: list[_Step] = []
+
+    def contract(touching: list[tuple[tuple[str, ...], int]], out: tuple[str, ...]) -> int:
+        ids: dict[str, int] = {}
+
+        def sub(scope: tuple[str, ...]) -> _Sub:
+            return tuple(ids.setdefault(v, len(ids)) for v in scope)
+
+        # pairwise, since einsum takes at most 64 operands and a naive
+        # Bayes class variable can touch more child factors
+        (scope, reg), rest = touching[0], touching[1:]
+        sub(scope)
+        for s, r in rest:
+            union = tuple(dict.fromkeys(scope + s))
+            steps.append((reg, sub(scope), r, sub(s), sub(union), None))
+            scope, reg = union, n + len(steps) - 1
+        sa, so = sub(scope), sub(out)
+        back = (tuple(ids[v] for v in scope if v in out),
+                tuple(_ALL if v in out else None for v in scope))
+        steps.append((reg, sa, None, None, so, back))
+        return n + len(steps) - 1
+
+    factors = [(tuple(s for s in fam if s not in observed), i) for i, fam in enumerate(families)]
+    rank = {v: i for i, (v, _, _) in enumerate(signature)}
+    elim = {v for v in rank if v not in observed and v not in keep}
+    for v in _min_degree_order([sc for sc, _ in factors], elim, rank):
+        touching = [f for f in factors if v in f[0]]
+        scope = tuple(u for u in dict.fromkeys(u for sc, _ in touching for u in sc) if u != v)
+        factors = [f for f in factors if v not in f[0]] + [(scope, contract(touching, scope))]
+    contract(factors, keep)
+    shapes = tuple(tuple(arity[f] for f in fam) for fam in families)
+    return _Plan(families, shapes, tuple(steps))
+
+
+def _forward(net: BayesNet, evidence: Assignment, keep: tuple[str, ...],
+             ) -> tuple[_Plan, list[tuple], list[np.ndarray]]:
+    """Replay the cached plan: (plan, each CPT's evidence index, registers)."""
+    codes = {k: net.code(k, v) for k, v in evidence.items()}
+    plan = _compile(net.signature(), frozenset(codes), keep)
+    index = [tuple(codes.get(f, slice(None)) for f in fam) for fam in plan.families]
+    regs = [net.cpts[v].table.reshape(shape)[ix]
+            for v, shape, ix in zip(net.names, plan.shapes, index)]
+    for a, sa, b, sb, out, _ in plan.steps:
+        regs.append(np.einsum(regs[a], sa, out) if b is None
+                    else np.einsum(regs[a], sa, regs[b], sb, out))
+    return plan, index, regs
+
+
 def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np.ndarray:
     """Sum out every variable outside ``evidence`` and ``keep`` (disjoint).
 
     The returned table has one axis per variable of ``keep``, in ``keep``'s
     order, and sums to the unnormalized mass of the evidence.
     """
-    check_assignment(net, evidence)
-    ev_codes = {k: net.code(k, v) for k, v in evidence.items()}
-    factors: list[Factor] = []
-    for v in net.names:
-        scope = net.parents(v) + (v,)
-        table = net.cpts[v].table.reshape([net.arity(s) for s in scope])
-        index = tuple(ev_codes.get(s, slice(None)) for s in scope)
-        factors.append((tuple(s for s in scope if s not in ev_codes), table[index]))
-    elim = {v for v in net.names if v not in ev_codes and v not in keep}
-    rank = {v: i for i, v in enumerate(net.names)}
-    for v in _min_degree_order([sc for sc, _ in factors], elim, rank):
-        touching = [f for f in factors if v in f[0]]
-        scope = tuple(u for u in dict.fromkeys(u for sc, _ in touching for u in sc) if u != v)
-        factors = [f for f in factors if v not in f[0]] + [(scope, _contract(touching, scope))]
-    return _contract(factors, keep)
+    return _forward(net, evidence, keep)[2][-1]
+
+
+def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
+                    ) -> tuple[float, dict[str, np.ndarray]]:
+    """``Z = B(evidence)`` and ``dZ/de`` for every entry of each ``wrt``
+    variable's CPT, shaped like that CPT, from one forward and one reverse
+    pass over the ``keep = ()`` plan.
+
+    ``Z`` is the same float :func:`marginal` returns.  The adjoint of a
+    pairwise product is the two einsums with the output and one operand's
+    subscripts swapped; the adjoint of a sum broadcasts back over the
+    summed axes.  Entries that contradict the evidence get 0.  The table
+    values never divide anything, so zero entries are fine here.
+    """
+    plan, index, regs = _forward(net, evidence, ())
+    n = len(plan.families)
+    adj: list = [None] * (len(regs) - 1) + [np.ones(())]
+    for k in range(len(plan.steps) - 1, -1, -1):
+        a, sa, b, sb, out, back = plan.steps[k]
+        d = adj[n + k]
+        if b is None:
+            # constant along the summed axes: size 1 there, which einsum
+            # and the final scatter broadcast
+            kept, axes = back
+            adj[a] = (d if kept == out else np.einsum(d, out, kept))[axes]
+        else:
+            adj[a] = np.einsum(d, out, regs[b], sb, sa)
+            adj[b] = np.einsum(d, out, regs[a], sa, sb)
+    grads = {}
+    for i, v in enumerate(net.names):
+        if v in wrt:
+            full = np.zeros(plan.shapes[i])
+            full[index[i]] = adj[i]
+            grads[v] = full.reshape(net.cpts[v].table.shape)
+    return float(regs[-1]), grads
 
 
 def marginal(net: BayesNet, a: Assignment) -> float:

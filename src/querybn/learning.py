@@ -12,10 +12,16 @@ The per-entry derivative of an answered conditional is
 so the derivative of one query's squared error is ``2 (B(x|y) - p)``
 times that.  It vanishes exactly when the answer is already correct, and
 when the evidence d-separates the entry's family from the target (those
-entries are skipped without inference).  For queries whose evidence
-covers the target's Markov blanket the whole gradient reduces to local
-CPT arithmetic (``_grad_blanket``); entries consistent with the query's
-assignment follow the closed form
+entries get exact zeros; which families can matter is cached per
+structure and query variables).  ``grad`` takes the rest of a general
+query from two forward/reverse passes over compiled elimination plans,
+one for ``B(y)`` and one for ``B(x, y)`` (``_grad_general``): multiplied
+out, the form above is ``(dB(x,y)/de - B(x|y) dB(y)/de) / B(y)``, so no
+entry is divided by.  ``db_dentry`` and ``derr_dentry`` keep the
+family-posterior form, an independent implementation.  For queries whose
+evidence covers the target's Markov blanket the whole gradient reduces
+to local CPT arithmetic (``_grad_blanket``); entries consistent with the
+query's assignment follow the closed form
 
     2 (B - p) / e[q|r] * B * (1 - B)
 
@@ -38,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import bounds
-from .inference import (ZeroEvidence, cond_prob, family_posterior,
+from .inference import (ZeroEvidence, _value_and_grad, cond_prob, family_posterior,
                         is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, clamp_row, d_separated
 from .queries import LabeledQuery, StatQuery
@@ -49,6 +55,9 @@ DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
 MAX_HALVINGS = 30
 SCORE_BOUND = 30.0
+AFFECTED_CACHE_SIZE = 512  # (structure, target vars, evidence vars) -> affected families
+
+_AFFECTED: dict[tuple, tuple[str, ...]] = {}
 
 
 # -- observed frequency estimates -------------------------------------------------
@@ -97,17 +106,20 @@ def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
     """``scale * (P(q,r | x,y) - P(q,r | y)) / e[q|r]`` for every entry of
     ``v``'s CPT, from two family posteriors.
 
-    With ``scale = B(x|y)`` this is dB(x|y)/de for the whole table; the
-    gradient passes the chained factor ``2 w (B - p) B`` instead.
+    With ``scale = B(x|y)`` this is dB(x|y)/de for the whole table.
     """
+    _check_positive(b, v)
+    p1 = family_posterior(b, v, {**q.target, **q.evidence})
+    p0 = family_posterior(b, v, q.evidence)
+    return scale * (p1 - p0) / b.cpts[v].table
+
+
+def _check_positive(b: BayesNet, v: str) -> None:
     table = b.cpts[v].table
     if (table <= 0.0).any():
         row, col = np.argwhere(table <= 0.0)[0]
         raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
                          "the derivative form divides by it (fit against a clamped net)")
-    p1 = family_posterior(b, v, {**q.target, **q.evidence})
-    p0 = family_posterior(b, v, q.evidence)
-    return scale * (p1 - p0) / table
 
 
 def db_dentry(b: BayesNet, q: StatQuery, e: EntryId) -> float:
@@ -159,8 +171,13 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
 
     Returns one array per variable, shaped like its CPT.  With the default
     weights ``1/len(qs)`` this is the gradient of :func:`scoring.empirical_err`.
-    Blanket queries take the local-arithmetic path; entries whose family is
-    d-separated from a query's target get exact zeros without inference.
+    Blanket queries take the local-arithmetic path, with no elimination.
+    Every other query costs two passes over cached elimination plans, one
+    for its evidence and one for evidence plus target, each a forward
+    elimination and one reverse sweep that yields every CPT's derivative;
+    nothing is divided by an entry.  Entries whose family is d-separated
+    from a query's target get exact zeros.  A zero entry in a family the
+    query can affect raises ``ValueError``, as in :func:`db_dentry`.
     """
     if weights is None:
         weights = [1.0 / len(qs)] * len(qs)
@@ -175,16 +192,42 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     return g
 
 
+def _affected_families(b: BayesNet, q: StatQuery) -> tuple[str, ...]:
+    """The variables whose CPT can move B(target|evidence), by
+    :func:`_family_can_affect`; cached per (structure, target variables,
+    evidence variables), since it never looks at values."""
+    key = (b.signature(), frozenset(q.target), frozenset(q.evidence))
+    mask = _AFFECTED.get(key)
+    if mask is None:
+        if len(_AFFECTED) >= AFFECTED_CACHE_SIZE:
+            del _AFFECTED[next(iter(_AFFECTED))]
+        mask = _AFFECTED[key] = tuple(v for v in b.names if _family_can_affect(b, v, q))
+    return mask
+
+
 def _grad_general(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:
+    """Two passes over compiled plans, one for ``y`` and one for ``x, y``:
+    with ``Z0 = B(y)``, ``Z1 = B(x, y)`` and ``B = Z1 / Z0``,
+
+        dB/de = (dZ1/de - B dZ0/de) / Z0
+
+    which is the family-posterior form of the module docstring multiplied
+    out, so no entry is divided by.
+    """
     q = lq.query
-    B = cond_prob(b, q.target, q.evidence)
+    affected = _affected_families(b, q)
+    z0, dz0 = _value_and_grad(b, q.evidence, affected)
+    if z0 <= 0.0:
+        raise ZeroEvidence(q.evidence)
+    z1, dz1 = _value_and_grad(b, {**q.evidence, **q.target}, affected)
+    B = z1 / z0
     resid = B - lq.label
     if resid == 0.0:
         return
-    coeff = 2.0 * w * resid * B
-    for v in b.names:
-        if _family_can_affect(b, v, q):
-            g[v] += _db_table(b, v, q, coeff)
+    coeff = 2.0 * w * resid / z0
+    for v in affected:
+        _check_positive(b, v)
+        g[v] += coeff * (dz1[v] - B * dz0[v])
 
 
 def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:

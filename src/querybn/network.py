@@ -147,6 +147,7 @@ class BayesNet:
         self._code = {v.name: {lab: i for i, lab in enumerate(v.domain)} for v in self.variables}
         self._children = dag.children_map()
         self._topo: tuple[str, ...] | None = None
+        self._signature: tuple | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -177,7 +178,9 @@ class BayesNet:
         cpts = dict(self.cpts)
         for name, table in tables.items():
             cpts[name] = Cpt(name, np.asarray(table, dtype=float))
-        return BayesNet(self.variables, self.dag, cpts)
+        net = BayesNet(self.variables, self.dag, cpts)
+        net._signature = self._signature
+        return net
 
     # -- basic accessors -------------------------------------------------------
 
@@ -222,6 +225,16 @@ class BayesNet:
         if self._topo is None:
             self._topo = self.dag.topological_order()
         return self._topo
+
+    def signature(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
+        """``(name, arity, parents)`` of every variable, in net order.
+
+        A value-based key for the structure alone: nets that share it
+        share every elimination plan, whatever their tables hold.
+        """
+        if self._signature is None:
+            self._signature = tuple((v.name, v.arity, self.parents(v.name)) for v in self.variables)
+        return self._signature
 
     def state_count(self) -> int:
         n = 1

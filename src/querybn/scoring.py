@@ -110,15 +110,22 @@ class ErrReport:
 def _score_rows(b: BayesNet, refs: Sequence[tuple[StatQuery, float, float]], mode: str) -> ErrReport:
     """Score the hypothesis against (query, weight, reference) triples.
 
-    A hypothesis-side :class:`ZeroEvidence` becomes a noted row instead of
-    aborting the batch (it cannot occur for clamped nets).
+    Each distinct query is answered once and its answer reused for every
+    row that repeats it, in row order.  A hypothesis-side
+    :class:`ZeroEvidence` becomes a noted row instead of aborting the batch
+    (it cannot occur for clamped nets).
     """
+    answers: dict[StatQuery, float | None] = {}
     rows: list[QueryScore] = []
     aggregate = 0.0
     for q, w, ref in refs:
-        try:
-            hyp = answer(b, q)
-        except ZeroEvidence:
+        if q not in answers:
+            try:
+                answers[q] = answer(b, q)
+            except ZeroEvidence:
+                answers[q] = None
+        hyp = answers[q]
+        if hyp is None:
             rows.append(QueryScore(q, w, math.nan, ref, math.nan,
                                    note="hypothesis assigns zero probability to the evidence"))
             continue

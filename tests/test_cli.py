@@ -317,6 +317,18 @@ class TestReproCommand:
                      "--params", params]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("hoeffding", '{"eps": 1}', "invalid arguments for hoeffding: eps must lie in (0, 1)"),
+        ("ex4.2", '{"sample_sizes": []}',
+         "invalid arguments for ex4.2: ex4.2 needs at least one sample size"),
+    ], ids=["hoeffding-eps-out-of-range", "ex4.2-no-sample-sizes"])
+    def test_params_the_runner_rejects_exit_two(self, tmp_path, capsys, experiment, params,
+                                                message):
+        out = tmp_path / "o"
+        assert main(["repro", "--id", experiment, "--out", str(out), "--params", params]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_param_types_follow_the_defaults(self):
         from querybn.cli import _param_fits
 

@@ -4,14 +4,16 @@ and the Markov-blanket fast path."""
 import numpy as np
 import pytest
 
-from querybn import StatQuery, ZeroEvidence
+from querybn import BayesNet, Dag, StatQuery, ZeroEvidence
 from querybn.experiments import ex41_bp, ex41_bsq, ex42_truth
-from querybn.inference import (EnumerationCapExceeded, answer, cond_prob,
-                               enumerate_marginal, is_markov_blanket_query,
-                               marginal, mb_posterior, mb_query)
+from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile,
+                               _value_and_grad, answer, cond_prob, enumerate_marginal,
+                               family_posterior, is_markov_blanket_query, marginal,
+                               mb_posterior, mb_query)
 from querybn.random_nets import random_blanket_query, random_net, random_query
 
-from helpers import chain_net, enumerate_completions, make_net, naive_bayes_net
+from helpers import (chain_net, enumerate_completions, make_net, naive_bayes_net,
+                     perturb_entry)
 
 
 class TestMarginal:
@@ -97,6 +99,98 @@ class TestCondProb:
         with pytest.raises(ZeroEvidence):
             cond_prob(net, {"B": "1"}, {"A": "1"})
 
+
+
+def _random_evidence(rng, net, max_size=4):
+    names = list(net.names)
+    k = int(rng.integers(0, min(max_size, len(names)) + 1))
+    return {names[i]: str(rng.integers(0, net.arity(names[i])))
+            for i in rng.choice(len(names), size=k, replace=False)}
+
+
+def _unnormalized(rng, net):
+    """The same structure with rows that do not sum to one."""
+    return net.with_tables({v: net.cpts[v].table * rng.uniform(0.5, 1.5, net.cpts[v].table.shape)
+                            for v in net.names})
+
+
+class TestPlans:
+    def test_nets_sharing_a_structure_get_their_own_answers(self):
+        rng = np.random.default_rng(25)
+        a = random_net(rng, n_vars=7, arities=(2, 3), max_parents=3)
+        b = _unnormalized(rng, a)
+        other = random_net(rng, n_vars=7, arities=(2, 3), max_parents=3)  # same names
+        assert other.names == a.names and other.signature() != a.signature()
+        evidences = [_random_evidence(rng, a, max_size=3) for _ in range(10)]
+        _compile.cache_clear()
+        for e in evidences:
+            for net in (a, b):
+                assert marginal(net, e) == pytest.approx(enumerate_marginal(net, e), abs=1e-12)
+            e_other = {k: str(min(int(v), other.arity(k) - 1)) for k, v in e.items()}
+            assert marginal(other, e_other) == pytest.approx(enumerate_marginal(other, e_other),
+                                                             abs=1e-12)
+        compiled = _compile.cache_info().misses
+        # a net built from scratch with an equal structure shares every plan
+        rebuilt = BayesNet(list(a.variables), Dag(a.dag.nodes, dict(a.dag.parents)), b.cpts)
+        assert [marginal(rebuilt, e) for e in evidences] == [marginal(b, e) for e in evidences]
+        assert _compile.cache_info().misses == compiled
+        assert _compile.cache_info().maxsize == PLAN_CACHE_SIZE
+
+    def test_cache_hit_is_bit_identical_to_a_cold_plan(self):
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            net = random_net(rng, n_vars=int(rng.integers(2, 10)), arities=(2, 3, 4),
+                             max_parents=3)
+            e = _random_evidence(rng, net)
+            v = str(rng.choice(net.names))
+            fam_e = {k: x for k, x in e.items() if k != v}
+            warm = (marginal(net, e), family_posterior(net, v, fam_e))
+            hit = (marginal(net, e), family_posterior(net, v, fam_e))
+            _compile.cache_clear()
+            cold = (marginal(net, e), family_posterior(net, v, fam_e))
+            for got in (hit, cold):
+                assert got[0] == warm[0]
+                assert np.array_equal(got[1], warm[1])
+
+    def test_planned_elimination_matches_enumeration(self):
+        rng = np.random.default_rng(27)
+        for i in range(60):
+            net = random_net(rng, n_vars=int(rng.integers(2, 10)), arities=(2, 3, 4),
+                             max_parents=3)
+            if i % 2:
+                net = _unnormalized(rng, net)
+            for _ in range(3):
+                e = _random_evidence(rng, net)
+                assert marginal(net, e) == pytest.approx(enumerate_marginal(net, e), abs=1e-12)
+
+    def test_reverse_pass_matches_exact_differences(self):
+        # a marginal is affine in each entry, so a central difference of
+        # enumerated marginals is exact up to roundoff, zero entries included
+        rng = np.random.default_rng(28)
+        h = 0.05
+        for _ in range(12):
+            net = random_net(rng, n_vars=int(rng.integers(2, 7)), arities=(2, 3), max_parents=2)
+            net = _unnormalized(rng, net)
+            zeroed = str(rng.choice(net.names))
+            t = np.array(net.cpts[zeroed].table)
+            t[0, 0] = 0.0
+            net = net.with_tables({zeroed: t})
+            e = _random_evidence(rng, net, max_size=3)
+            z, dz = _value_and_grad(net, e, net.names)
+            assert z == marginal(net, e)
+            assert set(dz) == set(net.names)
+            for eid in net.entry_ids():
+                fd = (enumerate_marginal(perturb_entry(net, eid, h), e)
+                      - enumerate_marginal(perturb_entry(net, eid, -h), e)) / (2 * h)
+                assert dz[eid.var][eid.row, eid.value] == pytest.approx(fd, abs=1e-12)
+
+    def test_reverse_pass_returns_only_the_requested_tables(self):
+        net = chain_net(p_a=0.3, p_x_a=(0.2, 0.9), p_c_x=(0.4, 0.8))
+        z, dz = _value_and_grad(net, {"C": "1"}, ("X",))
+        assert z == marginal(net, {"C": "1"}) and set(dz) == {"X"}
+        # B(C=1) = sum over a, x of e[A=a] e[X=x|A=a] e[C=1|X=x]
+        expected = np.array([[0.7 * 0.4, 0.7 * 0.8], [0.3 * 0.4, 0.3 * 0.8]])
+        assert np.allclose(dz["X"], expected, atol=1e-15)
 
 
 class TestMbQuery:

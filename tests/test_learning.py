@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQuery,
                      db_dentry, derr_dentry, derr_dentry_mb, fit_cpt,
                      fit_cpt_from_events, flatten_grad, grad, ofe, true_err, validate)
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
-from querybn.inference import answer
-from querybn.learning import _chain_to_scores, _grad_general, _materialize
+from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
+from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _grad_general,
+                              _materialize)
+from querybn.network import clamp_net
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
 from querybn.sampling import Dataset, forward_sample
@@ -268,6 +272,91 @@ class TestGrad:
                         dn[v][r, k] -= h
                         fd = (err_at(up) - err_at(dn)) / (2 * h)
                         assert rel_err(analytic[v][r, k], fd, floor=1e-7) < 1e-4
+
+
+def _general_queries(rng, net, n):
+    qs = []
+    while len(qs) < n:
+        q = random_query(rng, net, max_target=2, max_evidence=3)
+        if not is_markov_blanket_query(net, q):
+            qs.append(LabeledQuery(q, float(rng.random())))
+    return qs
+
+
+class TestGradGeneralPath:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_summed_family_posteriors(self, seed):
+        # the two-pass gradient against the family-posterior form it replaced
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
+                         max_parents=int(rng.integers(1, 4)), interior=1e-9)
+        net = clamp_net(net, float(rng.choice([1e-6, 1e-3, 0.05])))
+        for lq in _general_queries(rng, net, 3):
+            w = float(rng.uniform(0.1, 2.0))
+            new = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
+            _grad_general(new, net, lq, w)
+            q = lq.query
+            B = cond_prob(net, q.target, q.evidence)
+            for v in net.names:
+                if not _family_can_affect(net, v, q):
+                    assert not new[v].any()
+                    continue
+                old = _db_table(net, v, q, 2.0 * w * (B - lq.label) * B)
+                assert (np.abs(new[v] - old) <= 1e-12 * np.maximum(1.0, np.abs(old))).all()
+
+
+class TestGradWorkCount:
+    """Deterministic counts of the inference one gradient makes."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        import querybn.inference as inference
+        import querybn.learning as learning
+
+        calls = []
+        real = learning._value_and_grad
+
+        def counting(net, evidence, wrt):
+            calls.append(dict(evidence))
+            return real(net, evidence, wrt)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grad must not call cond_prob or family_posterior")
+
+        monkeypatch.setattr(learning, "_value_and_grad", counting)
+        for module in (inference, learning):
+            for name in ("cond_prob", "family_posterior"):
+                monkeypatch.setattr(module, name, forbidden)
+        return calls
+
+    def test_at_most_two_plan_passes_per_general_query(self, passes):
+        rng = np.random.default_rng(60)
+        net = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
+        lqs = _general_queries(rng, net, 6)
+        grad(net, lqs)
+        assert 0 < len(passes) <= 2 * len(lqs)
+
+    def test_no_plan_pass_for_blanket_queries(self, passes):
+        rng = np.random.default_rng(61)
+        net = random_net(rng, n_vars=6, arities=(2, 3))
+        lqs = [LabeledQuery(random_blanket_query(rng, net), float(rng.random()))
+               for _ in range(5)]
+        g = grad(net, lqs)
+        assert passes == [] and any(t.any() for t in g.values())
+
+    def test_a_fit_compiles_each_distinct_plan_once(self):
+        rng = np.random.default_rng(62)
+        structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
+        lqs = _general_queries(rng, structure, 6)
+        keys = set()
+        for lq in lqs:
+            keys.add(frozenset(lq.query.evidence))
+            keys.add(frozenset(lq.query.evidence) | frozenset(lq.query.target))
+        _compile.cache_clear()
+        fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
+        info = _compile.cache_info()
+        assert info.misses == info.currsize == len(keys)
 
 
 class TestFitCpt:

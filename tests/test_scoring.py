@@ -106,6 +106,40 @@ class TestEmpiricalErr:
         assert noted.query.evidence == {"A": "1"}
 
 
+class TestScoreRows:
+    def test_each_distinct_query_is_answered_once_and_fanned_out_in_row_order(self, monkeypatch):
+        import querybn.scoring as scoring
+
+        rng = np.random.default_rng(45)
+        net = random_net(rng, n_vars=6, arities=(2, 3))
+        distinct = [random_query(rng, net, max_target=2, max_evidence=3) for _ in range(4)]
+        # repeats, one of them with its bindings in another order
+        flipped = StatQuery(dict(reversed(list(distinct[0].target.items()))),
+                            dict(reversed(list(distinct[0].evidence.items()))))
+        drawn = [distinct[i] for i in (0, 1, 0, 2, 3, 3, 1, 0)] + [flipped]
+        lqs = [LabeledQuery(q, float(rng.random())) for q in drawn]
+        w = 1.0 / len(lqs)
+        per_row = [answer(net, lq.query) for lq in lqs]
+        aggregate = 0.0
+        for lq, hyp in zip(lqs, per_row):
+            aggregate += w * (hyp - lq.label) ** 2
+        calls = []
+        monkeypatch.setattr(scoring, "answer", lambda b, q: calls.append(q) or answer(b, q))
+        report = empirical_err(net, lqs)
+        assert len(calls) == len(set(drawn)) == 4
+        assert [r.hypothesis for r in report.rows] == per_row
+        assert [r.query for r in report.rows] == drawn
+        assert report.aggregate == aggregate
+
+    def test_repeated_zero_evidence_query_notes_every_row(self):
+        hyp = chain_net(p_a=0.0, p_x_a=(0.3, 0.6), p_c_x=(0.2, 0.9))
+        bad = LabeledQuery(StatQuery({"C": "1"}, {"A": "1"}), 0.5)
+        good = LabeledQuery(StatQuery({"C": "1"}, {"A": "0"}), 0.5)
+        report = empirical_err(hyp, [bad, good, bad])
+        assert [r.note is not None for r in report.rows] == [True, False, True]
+        assert report.aggregate == (1 / 3) * report.rows[1].sq_error
+
+
 class TestEmpiricalErrFromEvents:
     def test_single_matching_tuple(self):
         net = ex41_bp()
