@@ -8,9 +8,10 @@ step's subscripts depend only on the structure, on which variables are
 observed and on which are kept, so they are compiled once into a plan
 and cached by those values (at most ``PLAN_CACHE_SIZE`` plans); a call
 only slices the CPTs by the evidence codes and replays the steps.  One
-reverse sweep over the same plan gives the derivative of B(evidence)
-with respect to every CPT entry (Darwiche's differential approach), which
-the gradient fitter uses.  ``enumerate_marginal`` is the brute-force
+reverse sweep over the same replay, seeded with the derivative of some
+scalar with respect to the kept table, gives that scalar's derivative
+with respect to every CPT entry (Darwiche's differential approach),
+which the gradient fitter uses.  ``enumerate_marginal`` is the brute-force
 cross-check, capped because the general problem is intractable.
 
 ``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so its value
@@ -35,16 +36,22 @@ from .network import Assignment, BayesNet, check_assignment
 
 DEFAULT_ENUM_CAP = 22  # binary-equivalent variables: caps joint size at 2**22
 PLAN_CACHE_SIZE = 512  # compiled elimination plans kept; the least recently used goes first
+ZERO_EVIDENCE_SHOWN = 8  # evidence bindings a ZeroEvidence message lists
 
 
 class ZeroEvidence(ValueError):
     """The conditioning event has probability zero under this net.
 
-    Such a query is illegal: no conditional value is defined for it.
+    Such a query is illegal: no conditional value is defined for it.  The
+    message names the first ``ZERO_EVIDENCE_SHOWN`` bindings in sorted
+    order; ``evidence`` holds all of them.
     """
 
     def __init__(self, evidence: Mapping[str, str]):
-        desc = ", ".join(f"{k}={v}" for k, v in sorted(evidence.items())) or "{}"
+        shown = sorted(evidence.items())
+        desc = ", ".join(f"{k}={v}" for k, v in shown[:ZERO_EVIDENCE_SHOWN]) or "{}"
+        if len(shown) > ZERO_EVIDENCE_SHOWN:
+            desc += f", … ({len(shown) - ZERO_EVIDENCE_SHOWN} more)"
         super().__init__(f"evidence has zero probability: {desc}")
         self.evidence = dict(evidence)
 
@@ -180,21 +187,21 @@ def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np
     return _forward(net, evidence, keep)[2][-1]
 
 
-def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
-                    ) -> tuple[float, dict[str, np.ndarray]]:
-    """``Z = B(evidence)`` and ``dZ/de`` for every entry of each ``wrt``
-    variable's CPT, shaped like that CPT, from one forward and one reverse
-    pass over the ``keep = ()`` plan.
+def _reverse(plan: _Plan, index: list[tuple], regs: list[np.ndarray], seed: np.ndarray,
+             wrt: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """One reverse sweep over a replay of :func:`_forward`.
 
-    ``Z`` is the same float :func:`marginal` returns.  The adjoint of a
-    pairwise product is the two einsums with the output and one operand's
-    subscripts swapped; the adjoint of a sum broadcasts back over the
-    summed axes.  Entries that contradict the evidence get 0.  The table
-    values never divide anything, so zero entries are fine here.
+    ``seed`` is the derivative of some scalar with respect to the kept
+    table ``regs[-1]`` and has its shape; the sweep returns that scalar's
+    derivative with respect to every entry of each ``wrt`` variable's CPT,
+    shaped like that CPT.  The adjoint of a pairwise product is the two
+    einsums with the output and one operand's subscripts swapped; the
+    adjoint of a sum broadcasts back over the summed axes.  Entries that
+    contradict the evidence get 0.  The table values never divide
+    anything, so zero entries are fine here.
     """
-    plan, index, regs = _forward(net, evidence, ())
     n = len(plan.families)
-    adj: list = [None] * (len(regs) - 1) + [np.ones(())]
+    adj: list = [None] * (len(regs) - 1) + [seed]
     for k in range(len(plan.steps) - 1, -1, -1):
         a, sa, b, sb, out, back = plan.steps[k]
         d = adj[n + k]
@@ -207,12 +214,24 @@ def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
             adj[a] = np.einsum(d, out, regs[b], sb, sa)
             adj[b] = np.einsum(d, out, regs[a], sa, sb)
     grads = {}
-    for i, v in enumerate(net.names):
-        if v in wrt:
-            full = np.zeros(plan.shapes[i])
+    for i, (fam, shape) in enumerate(zip(plan.families, plan.shapes)):
+        if fam[-1] in wrt:
+            full = np.zeros(shape)
             full[index[i]] = adj[i]
-            grads[v] = full.reshape(net.cpts[v].table.shape)
-    return float(regs[-1]), grads
+            grads[fam[-1]] = full.reshape(-1, shape[-1])
+    return grads
+
+
+def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
+                    ) -> tuple[float, dict[str, np.ndarray]]:
+    """``Z = B(evidence)`` and ``dZ/de`` for every entry of each ``wrt``
+    variable's CPT, shaped like that CPT: one forward replay of the
+    ``keep = ()`` plan and one :func:`_reverse` sweep seeded with 1.
+
+    ``Z`` is the same float :func:`marginal` returns.
+    """
+    plan, index, regs = _forward(net, evidence, ())
+    return float(regs[-1]), _reverse(plan, index, regs, np.ones(()), wrt)
 
 
 def marginal(net: BayesNet, a: Assignment) -> float:

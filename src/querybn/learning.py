@@ -14,16 +14,23 @@ times that.  It vanishes exactly when the answer is already correct, and
 when the evidence d-separates the entry's family from the target (those
 entries get exact zeros; which families can matter is cached per
 structure and query variables).  ``grad`` takes the rest of a general
-query from two forward/reverse passes over compiled elimination plans,
-one for ``B(y)`` and one for ``B(x, y)`` (``_grad_general``): multiplied
-out, the form above is ``(dB(x,y)/de - B(x|y) dB(y)/de) / B(y)``, so no
-entry is divided by.  ``db_dentry`` and ``derr_dentry`` keep the
-family-posterior form, an independent implementation.  For queries whose
-evidence covers the target's Markov blanket the whole gradient reduces
-to local CPT arithmetic (``_grad_blanket``); entries consistent with the
-query's assignment follow the closed form
+query from one forward replay of its evidence-only plan, which keeps the
+target variables (``_replay_general``): its table ``T`` gives
+``Z0 = B(y) = sum T`` and ``B(x|y) = T[x] / Z0``.  One reverse sweep
+seeded with ``dB/dT = (onehot_x - B) / Z0`` (``_sweep_general``) then
+gives the form above multiplied out, so no entry is divided by.
+``db_dentry`` and ``derr_dentry`` keep the family-posterior form, an
+independent implementation.  For queries whose evidence covers the
+target's Markov blanket the whole gradient reduces to local CPT
+arithmetic (``_grad_blanket``); entries consistent with the query's
+assignment follow the closed form
 
     2 (B - p) / e[q|r] * B * (1 - B)
+
+``fit_cpt`` scores each line-search trial with one forward replay per
+general query (``_evaluate``), not with ``scoring.empirical_err``, and
+keeps the accepted trial's registers, so each of its gradients costs one
+reverse sweep per general query and no replay.
 
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
@@ -44,18 +51,20 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import bounds
-from .inference import (ZeroEvidence, _value_and_grad, cond_prob, family_posterior,
+from .inference import (ZeroEvidence, _forward, _reverse, cond_prob, family_posterior,
                         is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, clamp_row, d_separated
 from .queries import LabeledQuery, StatQuery
 from .sampling import Dataset, collect_until_matched, cond_freq
-from .scoring import empirical_err
 
 DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
 MAX_HALVINGS = 30
 SCORE_BOUND = 30.0
 AFFECTED_CACHE_SIZE = 512  # (structure, target vars, evidence vars) -> affected families
+# a kept-target replay's B(x|y) differs from cond_prob's by rounding only,
+# at most 7e-16 relative on 1,010 random general queries
+TIE_RTOL = 1e-12
 
 _AFFECTED: dict[tuple, tuple[str, ...]] = {}
 
@@ -172,23 +181,57 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     Returns one array per variable, shaped like its CPT.  With the default
     weights ``1/len(qs)`` this is the gradient of :func:`scoring.empirical_err`.
     Blanket queries take the local-arithmetic path, with no elimination.
-    Every other query costs two passes over cached elimination plans, one
-    for its evidence and one for evidence plus target, each a forward
-    elimination and one reverse sweep that yields every CPT's derivative;
-    nothing is divided by an entry.  Entries whose family is d-separated
-    from a query's target get exact zeros.  A zero entry in a family the
-    query can affect raises ``ValueError``, as in :func:`db_dentry`.
+    Every other query costs one forward replay of its evidence-only plan,
+    which keeps the target variables, and one reverse sweep over it that
+    yields every CPT's derivative; nothing is divided by an entry.  Entries
+    whose family is d-separated from a query's target get exact zeros.  A
+    zero entry in a family the query can affect raises ``ValueError``, as
+    in :func:`db_dentry`.
     """
     if weights is None:
         weights = [1.0 / len(qs)] * len(qs)
     if len(weights) != len(qs):
         raise ValueError("weights must match queries")
-    g = {v: np.zeros_like(b.cpts[v].table) for v in b.names}
+    _, states = _evaluate(b, qs, weights)
+    return _grad_from_states(b, qs, weights, states)
+
+
+def _evaluate(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float],
+              ) -> tuple[float, list[tuple]]:
+    """The weighted squared error ``sum w (B - p)^2`` of ``b``'s answers, in
+    query order, and each query's forward state for
+    :func:`_grad_from_states`.
+
+    A blanket query's state is ``(B, post)`` with ``post`` its
+    :func:`mb_posterior`, so its ``B`` is the float :func:`answer` gives.
+    A general query's state is :func:`_replay_general`'s, whose ``B`` may
+    differ from :func:`cond_prob`'s by rounding.
+    """
+    err = 0.0
+    states = []
     for lq, w in zip(qs, weights):
-        if is_markov_blanket_query(b, lq.query):
-            _grad_blanket(g, b, lq, w)
+        q = lq.query
+        if is_markov_blanket_query(b, q):
+            (v, v_val), = q.target.items()
+            post = mb_posterior(b, v, q.evidence)
+            state = (float(post[b.code(v, v_val)]), post)
         else:
-            _grad_general(g, b, lq, w)
+            state = _replay_general(b, q)
+        err += w * (state[0] - lq.label) ** 2
+        states.append(state)
+    return err, states
+
+
+def _grad_from_states(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float],
+                      states: Sequence[tuple]) -> dict[str, np.ndarray]:
+    """:func:`grad` from the states :func:`_evaluate` returned for ``b``:
+    one reverse sweep per general query and no replay."""
+    g = {v: np.zeros_like(b.cpts[v].table) for v in b.names}
+    for lq, w, state in zip(qs, weights, states):
+        if is_markov_blanket_query(b, lq.query):
+            _grad_blanket(g, b, lq, w, *state)
+        else:
+            _sweep_general(g, b, lq, w, *state)
     return g
 
 
@@ -205,33 +248,55 @@ def _affected_families(b: BayesNet, q: StatQuery) -> tuple[str, ...]:
     return mask
 
 
-def _grad_general(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:
-    """Two passes over compiled plans, one for ``y`` and one for ``x, y``:
-    with ``Z0 = B(y)``, ``Z1 = B(x, y)`` and ``B = Z1 / Z0``,
+def _replay_general(b: BayesNet, q: StatQuery) -> tuple:
+    """One forward replay of the evidence-only plan that keeps the target
+    variables: ``(B, (plan, index, registers), Z0, x)``.
 
-        dB/de = (dZ1/de - B dZ0/de) / Z0
-
-    which is the family-posterior form of the module docstring multiplied
-    out, so no entry is divided by.
+    The kept table ``T`` holds ``B(t, y)`` for every target value ``t``,
+    so ``Z0 = B(y)`` is its sum and ``B = T[x] / Z0``, with ``x`` the
+    index of the query's target values.
     """
-    q = lq.query
-    affected = _affected_families(b, q)
-    z0, dz0 = _value_and_grad(b, q.evidence, affected)
+    keep = tuple(q.target)
+    replay = _forward(b, q.evidence, keep)
+    table = replay[2][-1]
+    z0 = float(table.sum())
     if z0 <= 0.0:
         raise ZeroEvidence(q.evidence)
-    z1, dz1 = _value_and_grad(b, {**q.evidence, **q.target}, affected)
-    B = z1 / z0
+    x = tuple(b.code(v, q.target[v]) for v in keep)
+    return float(table[x]) / z0, replay, z0, x
+
+
+def _sweep_general(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float,
+                   B: float, replay: tuple, z0: float, x: tuple[int, ...]) -> None:
+    """One reverse sweep over a general query's replay.
+
+    ``dB/dT = (onehot_x - B) / Z0``, so seeding the sweep with ``2w(B - p)``
+    times that gives the query's squared-error derivative for every entry:
+    the family-posterior form of the module docstring multiplied out, so
+    no entry is divided by.  The replay's ``B`` may differ from
+    :func:`cond_prob`'s by rounding, so a label within ``TIE_RTOL`` of it
+    is compared with :func:`cond_prob`'s instead: a label that equals the
+    answer gets exact zeros.
+    """
     resid = B - lq.label
+    if abs(resid) <= TIE_RTOL * B:
+        resid = cond_prob(b, lq.query.target, lq.query.evidence) - lq.label
     if resid == 0.0:
         return
-    coeff = 2.0 * w * resid / z0
-    for v in affected:
+    plan, index, regs = replay
+    seed = np.full(regs[-1].shape, -B)
+    seed[x] += 1.0
+    seed *= 2.0 * w * resid / z0
+    affected = _affected_families(b, lq.query)
+    for v, dv in _reverse(plan, index, regs, seed, affected).items():
         _check_positive(b, v)
-        g[v] += coeff * (dz1[v] - B * dz0[v])
+        g[v] += dv
 
 
-def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float) -> None:
-    """Local-arithmetic gradient for a blanket query.
+def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float,
+                  B: float, post: np.ndarray) -> None:
+    """Local-arithmetic gradient for a blanket query, from ``B`` and its
+    :func:`mb_posterior` ``post``.
 
     Only the target's own row and its children's rows can matter.  For the
     row configurations consistent with the evidence, the value matching the
@@ -242,9 +307,7 @@ def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: fl
     q = lq.query
     (v, v_val), = q.target.items()
     y = q.evidence
-    post = mb_posterior(b, v, y)
     val = b.code(v, v_val)
-    B = float(post[val])
     resid = B - lq.label
     if resid == 0.0:
         return
@@ -374,14 +437,6 @@ def _grad_norm(g: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((t * t).sum()) for t in g.values())))
 
 
-def _empirical_err_value(net: BayesNet, qs: Sequence[LabeledQuery]) -> float:
-    report = empirical_err(net, qs)
-    if report.n_errors:
-        bad = next(r.query for r in report.rows if r.note is not None)
-        raise ZeroEvidence(bad.evidence)
-    return report.aggregate
-
-
 def _scores_from_net(structure: BayesNet, net: BayesNet, eps: float) -> dict[str, np.ndarray]:
     """Scores whose materialization reproduces ``net``'s rows.
 
@@ -424,17 +479,18 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
     rng = np.random.default_rng(opts.seed)
+    weights = [1.0 / len(qs)] * len(qs)
     trace: list[TraceRow] = []
     best: tuple[float, int, BayesNet, bool] | None = None
     for restart in range(opts.restarts):
         scores = {v: np.clip(s, -SCORE_BOUND, SCORE_BOUND)
                   for v, s in _initial_scores(structure, opts, restart, rng, init_net).items()}
         net = _materialize(structure, scores, opts.eps_clamp)
-        err = _empirical_err_value(net, qs)
+        err, states = _evaluate(net, qs, weights)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_entries = grad(net, qs)
+            g_entries = _grad_from_states(net, qs, weights, states)
             g_scores = _chain_to_scores(scores, g_entries, opts.eps_clamp)
             gnorm = _grad_norm(g_scores)
             if gnorm < opts.tol:
@@ -447,7 +503,7 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
                 candidate = {v: np.clip(s - t * g_scores[v], -SCORE_BOUND, SCORE_BOUND)
                              for v, s in scores.items()}
                 cand_net = _materialize(structure, candidate, opts.eps_clamp)
-                cand_err = _empirical_err_value(cand_net, qs)
+                cand_err, cand_states = _evaluate(cand_net, qs, weights)
                 if cand_err < err:
                     accepted = True
                     break
@@ -455,7 +511,7 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
             trace.append(TraceRow(restart, it, err, gnorm, t if accepted else 0.0, accepted))
             if not accepted:
                 break
-            scores, net, err = candidate, cand_net, cand_err
+            scores, net, err, states = candidate, cand_net, cand_err, cand_states
             step = t * 2.0
             if on_step is not None:
                 on_step(net, it, err)

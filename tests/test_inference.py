@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from querybn import BayesNet, Dag, StatQuery, ZeroEvidence
-from querybn.experiments import ex41_bp, ex41_bsq, ex42_truth
+from querybn.experiments import ex41_bp, ex41_bsq, ex42_query, ex42_truth
 from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile,
                                _value_and_grad, answer, cond_prob, enumerate_marginal,
                                family_posterior, is_markov_blanket_query, marginal,
@@ -98,6 +98,16 @@ class TestCondProb:
                        {"A": [[1.0, 0.0]], "B": [[0.5, 0.5], [0.5, 0.5]]})
         with pytest.raises(ZeroEvidence):
             cond_prob(net, {"B": "1"}, {"A": "1"})
+
+    def test_zero_evidence_message_names_at_most_eight_bindings(self):
+        evidence = ex42_query(600).evidence
+        exc = ZeroEvidence(evidence)
+        shown = ", ".join(f"{k}={v}" for k, v in sorted(evidence.items())[:8])
+        assert str(exc) == f"evidence has zero probability: {shown}, … (592 more)"
+        assert exc.evidence == evidence
+        eight = dict(sorted(evidence.items())[:8])
+        assert str(ZeroEvidence(eight)) == f"evidence has zero probability: {shown}"
+        assert str(ZeroEvidence({})) == "evidence has zero probability: {}"
 
 
 

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQuery,
-                     db_dentry, derr_dentry, derr_dentry_mb, fit_cpt,
+                     ZeroEvidence, db_dentry, derr_dentry, derr_dentry_mb, fit_cpt,
                      fit_cpt_from_events, flatten_grad, grad, ofe, true_err, validate)
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
 from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
-from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _grad_general,
-                              _materialize)
+from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _materialize,
+                              _replay_general, _sweep_general)
 from querybn.network import clamp_net
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
-from querybn.sampling import Dataset, forward_sample
+from querybn.sampling import Dataset, cond_freq, forward_sample
 
 from helpers import grad_oracle, make_net, rel_err
 
@@ -231,6 +231,30 @@ class TestGrad:
             for eid in net.entry_ids():
                 assert rel_err(g[eid], grad_oracle(net, lqs, eid)) < 1e-5
 
+    def test_answer_labels_give_exact_zeros_on_general_queries(self):
+        # grad's general B comes from a kept-target replay, which may differ
+        # from answer's by rounding; a label equal to the answer still gives
+        # an exact zero gradient
+        rng = np.random.default_rng(65)
+        for _ in range(40):
+            net = random_net(rng, n_vars=int(rng.integers(3, 9)), arities=(2, 3), interior=0.1)
+            lqs = label_queries(net, [lq.query for lq in _general_queries(rng, net, 3)])
+            assert not any(t.any() for t in grad(net, lqs).values())
+
+    def test_general_query_errors(self):
+        # A=1 has probability zero; B's zero entry lies in a family that
+        # P(C=1 | A=0) depends on
+        net = make_net([("A", "01"), ("B", "01"), ("C", "01")], [("A", "B"), ("B", "C")],
+                       {"A": [[1.0, 0.0]], "B": [[1.0, 0.0], [0.5, 0.5]],
+                        "C": [[0.3, 0.7], [0.6, 0.4]]})
+        with pytest.raises(ZeroEvidence):
+            grad(net, [LabeledQuery(StatQuery({"C": "1"}, {"A": "1"}), 0.5)])
+        q = StatQuery({"C": "1"}, {"A": "0"})
+        with pytest.raises(ValueError, match="is zero"):
+            grad(net, [LabeledQuery(q, 0.0)])
+        # a residual of zero needs no derivative, so the zero entry is fine
+        assert not any(t.any() for t in grad(net, label_queries(net, [q])).values())
+
     def test_blanket_path_equals_general_path(self):
         rng = np.random.default_rng(58)
         for _ in range(25):
@@ -239,7 +263,7 @@ class TestGrad:
             lq = LabeledQuery(q, float(rng.random()))
             fast = grad(net, [lq], weights=[1.0])
             slow = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
-            _grad_general(slow, net, lq, 1.0)
+            _sweep_general(slow, net, lq, 1.0, *_replay_general(net, q))
             for v in net.names:
                 assert np.abs(fast[v] - slow[v]).max() < 1e-12
 
@@ -287,7 +311,7 @@ class TestGradGeneralPath:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_summed_family_posteriors(self, seed):
-        # the two-pass gradient against the family-posterior form it replaced
+        # the one-pass gradient against the family-posterior form
         rng = np.random.default_rng(seed)
         net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
                          max_parents=int(rng.integers(1, 4)), interior=1e-9)
@@ -295,7 +319,7 @@ class TestGradGeneralPath:
         for lq in _general_queries(rng, net, 3):
             w = float(rng.uniform(0.1, 2.0))
             new = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
-            _grad_general(new, net, lq, w)
+            _sweep_general(new, net, lq, w, *_replay_general(net, lq.query))
             q = lq.query
             B = cond_prob(net, q.target, q.evidence)
             for v in net.names:
@@ -314,28 +338,32 @@ class TestGradWorkCount:
         import querybn.inference as inference
         import querybn.learning as learning
 
-        calls = []
-        real = learning._value_and_grad
+        calls = {"_forward": 0, "_reverse": 0}
 
-        def counting(net, evidence, wrt):
-            calls.append(dict(evidence))
-            return real(net, evidence, wrt)
+        def counting(name):
+            real = getattr(learning, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
 
         def forbidden(*args, **kwargs):
             raise AssertionError("grad must not call cond_prob or family_posterior")
 
-        monkeypatch.setattr(learning, "_value_and_grad", counting)
+        for name in calls:
+            monkeypatch.setattr(learning, name, counting(name))
         for module in (inference, learning):
             for name in ("cond_prob", "family_posterior"):
                 monkeypatch.setattr(module, name, forbidden)
         return calls
 
-    def test_at_most_two_plan_passes_per_general_query(self, passes):
+    def test_one_replay_and_one_sweep_per_general_query(self, passes):
         rng = np.random.default_rng(60)
         net = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
         lqs = _general_queries(rng, net, 6)
         grad(net, lqs)
-        assert 0 < len(passes) <= 2 * len(lqs)
+        assert passes == {"_forward": len(lqs), "_reverse": len(lqs)}
 
     def test_no_plan_pass_for_blanket_queries(self, passes):
         rng = np.random.default_rng(61)
@@ -343,16 +371,36 @@ class TestGradWorkCount:
         lqs = [LabeledQuery(random_blanket_query(rng, net), float(rng.random()))
                for _ in range(5)]
         g = grad(net, lqs)
-        assert passes == [] and any(t.any() for t in g.values())
+        assert passes == {"_forward": 0, "_reverse": 0} and any(t.any() for t in g.values())
+
+    def test_a_fit_replays_once_per_trial_and_sweeps_once_per_iteration(self, passes,
+                                                                        monkeypatch):
+        # every trial net (each restart's start and each line-search step)
+        # is replayed once per query; each gradient reuses the accepted
+        # trial's registers and only sweeps
+        import querybn.learning as learning
+
+        trials = {"n": 0}
+        real = learning._materialize
+
+        def counting(*args):
+            trials["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(learning, "_materialize", counting)
+        rng = np.random.default_rng(63)
+        structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
+        lqs = _general_queries(rng, structure, 6)
+        fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
+        assert passes == {"_forward": len(lqs) * trials["n"],
+                          "_reverse": len(lqs) * len(fit.trace)}
 
     def test_a_fit_compiles_each_distinct_plan_once(self):
+        # one evidence-only plan per (evidence variables, target tuple)
         rng = np.random.default_rng(62)
         structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
         lqs = _general_queries(rng, structure, 6)
-        keys = set()
-        for lq in lqs:
-            keys.add(frozenset(lq.query.evidence))
-            keys.add(frozenset(lq.query.evidence) | frozenset(lq.query.target))
+        keys = {(frozenset(lq.query.evidence), tuple(lq.query.target)) for lq in lqs}
         _compile.cache_clear()
         fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
         info = _compile.cache_info()
@@ -391,6 +439,29 @@ class TestFitCpt:
         fit = fit_cpt(structure, lqs, FitOptions(init="net", restarts=1, max_iters=5, seed=0),
                       init_net=start)
         assert fit.trace[0].err == pytest.approx(empirical_err(start, lqs).aggregate, abs=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["ex41", "table1_chain", "mixed"])
+    def test_reported_err_is_the_returned_nets_empirical_err(self, fixture):
+        # the fitter scores with its own replays, not with empirical_err
+        from querybn.experiments import ex41_distribution
+        from querybn.scoring import empirical_err
+
+        if fixture == "ex41":
+            structure, lqs = ex41_structure(), ex41_labeled_queries()
+        elif fixture == "table1_chain":
+            # run_table1's given structure, labeled from 1000 sampled tuples
+            data = forward_sample(ex41_truth(), 1000, seed=np.random.SeedSequence([0, 1]))
+            structure = ex41_structure()
+            lqs = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
+                   for q, _ in ex41_distribution().atoms]
+        else:
+            rng = np.random.default_rng(64)
+            structure = random_net(rng, n_vars=6, arities=(2, 3))
+            lqs = _general_queries(rng, structure, 3)
+            lqs += [LabeledQuery(random_blanket_query(rng, structure), float(rng.random()))
+                    for _ in range(3)]
+        fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=200, seed=0))
+        assert abs(fit.err - empirical_err(fit.net, lqs).aggregate) <= 1e-12
 
     def test_ofe_init_is_rejected(self):
         with pytest.raises(ValueError, match="unknown init"):
