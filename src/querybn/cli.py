@@ -154,7 +154,10 @@ def cmd_learn(args) -> int:
         raise _CliError("fitted net failed validation: " + "; ".join(violations), DOMAIN_ERROR)
     save_net(result.net, os.path.join(outdir, "net.json"))
     result.write_trace_csv(os.path.join(outdir, "trace.csv"))
-    print(f"final empirical err: {result.err!r} (restart {result.restart})")
+    # the fitter's own error may differ from empirical_err by rounding;
+    # print the value that eval of the written net reports
+    err = empirical_err(result.net, labeled).aggregate
+    print(f"final empirical err: {err!r} (restart {result.restart})")
     print(f"wrote {os.path.join(outdir, 'net.json')} and trace.csv")
     return 0
 

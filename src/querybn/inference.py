@@ -7,11 +7,15 @@ the factors that touch the eliminated variable.  The order and every
 step's subscripts depend only on the structure, on which variables are
 observed and on which are kept, so they are compiled once into a plan
 and cached by those values (at most ``PLAN_CACHE_SIZE`` plans); a call
-only slices the CPTs by the evidence codes and replays the steps.  One
-reverse sweep over the same replay, seeded with the derivative of some
-scalar with respect to the kept table, gives that scalar's derivative
-with respect to every CPT entry (Darwiche's differential approach),
-which the gradient fitter uses.  ``enumerate_marginal`` is the brute-force
+only slices the CPTs by the evidence codes and replays the steps
+(``_replay``).  Every subscript list starts with an ellipsis, so one
+replay can also carry a leading batch axis on some registers, which the
+others broadcast against: the gradient fitter answers a whole query set
+in one replay of the evidence-free plan, with evidence entering as 0/1
+indicator factors.  One reverse sweep over a replay, seeded with the
+derivative of some scalar with respect to the kept table, gives that
+scalar's derivative with respect to every CPT register (Darwiche's
+differential approach).  ``enumerate_marginal`` is the brute-force
 cross-check, capped because the general problem is intractable.
 
 ``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so its value
@@ -89,8 +93,9 @@ def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mappi
     return order
 
 
-# (a, subscripts of a, b or None, subscripts of b, output subscripts, reverse-pass data)
-_Sub = tuple[int, ...]
+# (a, subscripts of a, b or None, subscripts of b, output subscripts, reverse-pass data);
+# every subscript tuple starts with Ellipsis, which stands for an optional batch axis
+_Sub = tuple
 _ALL = slice(None)  # one object shared by every cached index
 _Step = tuple[int, _Sub, int | None, _Sub | None, _Sub, tuple | None]
 
@@ -108,7 +113,8 @@ class _Plan:
     ``b`` is None, ``einsum(reg[a], sa, out)``, a sum or a transpose whose
     reverse pass needs ``back = (subscripts of out in sa's order, an index
     that inserts a new axis at each summed position)``.  Every register
-    feeds exactly one step.
+    feeds exactly one step.  Subscripts and ``back``'s index start with an
+    ellipsis, so registers may carry leading batch axes that broadcast.
     """
 
     families: tuple[tuple[str, ...], ...]  # parents, then the variable
@@ -125,7 +131,8 @@ def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) 
     gives the same bits as eliminating afresh.  A contraction starts from
     its first factor itself, not from a product with the scalar 1, which
     is exact.  Each contraction numbers only its own variables, since
-    einsum subscripts lie in [0, 52).
+    einsum subscripts lie in [0, 52); a leading ``...`` in every subscript
+    list leaves the bits of unbatched replays unchanged.
     """
     arity = {v: a for v, a, _ in signature}
     families = tuple(ps + (v,) for v, _, ps in signature)
@@ -136,7 +143,7 @@ def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) 
         ids: dict[str, int] = {}
 
         def sub(scope: tuple[str, ...]) -> _Sub:
-            return tuple(ids.setdefault(v, len(ids)) for v in scope)
+            return (Ellipsis, *(ids.setdefault(v, len(ids)) for v in scope))
 
         # pairwise, since einsum takes at most 64 operands and a naive
         # Bayes class variable can touch more child factors
@@ -147,8 +154,8 @@ def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) 
             steps.append((reg, sub(scope), r, sub(s), sub(union), None))
             scope, reg = union, n + len(steps) - 1
         sa, so = sub(scope), sub(out)
-        back = (tuple(ids[v] for v in scope if v in out),
-                tuple(_ALL if v in out else None for v in scope))
+        back = ((Ellipsis, *(ids[v] for v in scope if v in out)),
+                (Ellipsis, *(_ALL if v in out else None for v in scope)))
         steps.append((reg, sa, None, None, so, back))
         return n + len(steps) - 1
 
@@ -172,10 +179,21 @@ def _forward(net: BayesNet, evidence: Assignment, keep: tuple[str, ...],
     index = [tuple(codes.get(f, slice(None)) for f in fam) for fam in plan.families]
     regs = [net.cpts[v].table.reshape(shape)[ix]
             for v, shape, ix in zip(net.names, plan.shapes, index)]
+    return plan, index, _replay(plan, regs)
+
+
+def _replay(plan: _Plan, regs: list[np.ndarray]) -> list[np.ndarray]:
+    """Append every step's register to ``regs``, the CPT registers in net
+    order, and return it; the last register is the kept table.
+
+    A register may carry leading batch axes; the others broadcast against
+    it, so a batch of stacked registers gives each element the bits of its
+    own replay.
+    """
     for a, sa, b, sb, out, _ in plan.steps:
         regs.append(np.einsum(regs[a], sa, out) if b is None
                     else np.einsum(regs[a], sa, regs[b], sb, out))
-    return plan, index, regs
+    return regs
 
 
 def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np.ndarray:
@@ -187,18 +205,17 @@ def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np
     return _forward(net, evidence, keep)[2][-1]
 
 
-def _reverse(plan: _Plan, index: list[tuple], regs: list[np.ndarray], seed: np.ndarray,
-             wrt: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """One reverse sweep over a replay of :func:`_forward`.
+def _reverse(plan: _Plan, regs: list[np.ndarray], seed: np.ndarray) -> list[np.ndarray]:
+    """One reverse sweep over a :func:`_replay`: the adjoint of each CPT
+    register, in net order.
 
     ``seed`` is the derivative of some scalar with respect to the kept
-    table ``regs[-1]`` and has its shape; the sweep returns that scalar's
-    derivative with respect to every entry of each ``wrt`` variable's CPT,
-    shaped like that CPT.  The adjoint of a pairwise product is the two
-    einsums with the output and one operand's subscripts swapped; the
-    adjoint of a sum broadcasts back over the summed axes.  Entries that
-    contradict the evidence get 0.  The table values never divide
-    anything, so zero entries are fine here.
+    table ``regs[-1]`` and has its shape, batch axes included.  The adjoint
+    of a pairwise product is the two einsums with the output and one
+    operand's subscripts swapped; the adjoint of a sum broadcasts back over
+    the summed axes, so an adjoint may have size 1 there.  A register
+    without the seed's batch axes gets one adjoint per batch element.  The
+    table values never divide anything, so zero entries are fine here.
     """
     n = len(plan.families)
     adj: list = [None] * (len(regs) - 1) + [seed]
@@ -206,32 +223,33 @@ def _reverse(plan: _Plan, index: list[tuple], regs: list[np.ndarray], seed: np.n
         a, sa, b, sb, out, back = plan.steps[k]
         d = adj[n + k]
         if b is None:
-            # constant along the summed axes: size 1 there, which einsum
-            # and the final scatter broadcast
             kept, axes = back
             adj[a] = (d if kept == out else np.einsum(d, out, kept))[axes]
         else:
             adj[a] = np.einsum(d, out, regs[b], sb, sa)
             adj[b] = np.einsum(d, out, regs[a], sa, sb)
-    grads = {}
-    for i, (fam, shape) in enumerate(zip(plan.families, plan.shapes)):
-        if fam[-1] in wrt:
-            full = np.zeros(shape)
-            full[index[i]] = adj[i]
-            grads[fam[-1]] = full.reshape(-1, shape[-1])
-    return grads
+    return adj[:n]
 
 
 def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
                     ) -> tuple[float, dict[str, np.ndarray]]:
     """``Z = B(evidence)`` and ``dZ/de`` for every entry of each ``wrt``
     variable's CPT, shaped like that CPT: one forward replay of the
-    ``keep = ()`` plan and one :func:`_reverse` sweep seeded with 1.
+    ``keep = ()`` plan and one :func:`_reverse` sweep seeded with 1, whose
+    register adjoints are scattered into the evidence index.  Entries that
+    contradict the evidence get 0.
 
     ``Z`` is the same float :func:`marginal` returns.
     """
     plan, index, regs = _forward(net, evidence, ())
-    return float(regs[-1]), _reverse(plan, index, regs, np.ones(()), wrt)
+    adj = _reverse(plan, regs, np.ones(()))
+    grads = {}
+    for ix, fam, shape, d in zip(index, plan.families, plan.shapes, adj):
+        if fam[-1] in wrt:
+            full = np.zeros(shape)
+            full[ix] = d
+            grads[fam[-1]] = full.reshape(-1, shape[-1])
+    return float(regs[-1]), grads
 
 
 def marginal(net: BayesNet, a: Assignment) -> float:

@@ -12,30 +12,38 @@ The per-entry derivative of an answered conditional is
 so the derivative of one query's squared error is ``2 (B(x|y) - p)``
 times that.  It vanishes exactly when the answer is already correct, and
 when the evidence d-separates the entry's family from the target (those
-entries get exact zeros; which families can matter is cached per
-structure and query variables).  ``grad`` takes the rest of a general
-query from one forward replay of its evidence-only plan, which keeps the
-target variables (``_replay_general``): its table ``T`` gives
-``Z0 = B(y) = sum T`` and ``B(x|y) = T[x] / Z0``.  One reverse sweep
-seeded with ``dB/dT = (onehot_x - B) / Z0`` (``_sweep_general``) then
-gives the form above multiplied out, so no entry is divided by.
-``db_dentry`` and ``derr_dentry`` keep the family-posterior form, an
-independent implementation.  For queries whose evidence covers the
-target's Markov blanket the whole gradient reduces to local CPT
-arithmetic (``_grad_blanket``); entries consistent with the query's
-assignment follow the closed form
+entries get exact zeros).  ``grad`` takes every general query of a query
+set from one batched replay of the evidence-free plan (a ``_Program``,
+built from the structure and the queries): evidence enters as 0/1
+indicator factors, query ``k`` owns one batch row for its evidence and
+one for its evidence and target, and the replay gives ``Z0 = B(y)``,
+``Z1 = B(x, y)`` and ``B(x|y) = Z1 / Z0`` for all of them at once.  One
+batched reverse sweep seeded with ``c = 2w(B - p) / Z0`` on the second
+row and ``-cB`` on the first then gives the form above multiplied out,
+so no entry is divided by; a 0/1 mask of the rows whose query can affect
+a family keeps its exact zeros.  ``db_dentry`` and ``derr_dentry`` keep
+the family-posterior form, an independent implementation.  For queries
+whose evidence covers the target's Markov blanket the whole gradient
+reduces to local CPT arithmetic (``_grad_blanket``); entries consistent
+with the query's assignment follow the closed form
 
     2 (B - p) / e[q|r] * B * (1 - B)
 
-``fit_cpt`` scores each line-search trial with one forward replay per
-general query (``_evaluate``), not with ``scoring.empirical_err``, and
-keeps the accepted trial's registers, so each of its gradients costs one
-reverse sweep per general query and no replay.
+``fit_cpt`` builds the program once and scores each line-search trial
+with one batched replay (``_evaluate``), not with
+``scoring.empirical_err``, and keeps the accepted trial's registers, so
+each of its gradients costs one batched reverse sweep and no replay.
+A trial thus eliminates the evidence-free net over ``2G`` rows for ``G``
+general queries, where per-query plans would each eliminate a net sliced
+by their own evidence; a net whose evidence-free elimination is much
+wider than its sliced ones pays for that.
 
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
 and stay strictly inside the simplex; entry gradients are chained
-through the softmax Jacobian.  Scores are clipped to +-``SCORE_BOUND``
+through the softmax Jacobian.  The scores of all variables with the same
+arity share one stacked array, so these row-wise maps run once per
+arity.  Scores are clipped to +-``SCORE_BOUND``
 and materialized rows are clamped into [eps_clamp, 1 - eps_clamp].
 Random starts draw rows from a symmetric Dirichlet(``DIRICHLET_ALPHA``);
 each restart's line search first tries ``FIRST_STEP`` and halves a step
@@ -51,8 +59,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import bounds
-from .inference import (ZeroEvidence, _forward, _reverse, cond_prob, family_posterior,
-                        is_markov_blanket_query, mb_posterior)
+from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_prob,
+                        family_posterior, is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, clamp_row, d_separated
 from .queries import LabeledQuery, StatQuery
 from .sampling import Dataset, collect_until_matched, cond_freq
@@ -61,12 +69,9 @@ DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
 MAX_HALVINGS = 30
 SCORE_BOUND = 30.0
-AFFECTED_CACHE_SIZE = 512  # (structure, target vars, evidence vars) -> affected families
 # a kept-target replay's B(x|y) differs from cond_prob's by rounding only,
 # at most 7e-16 relative on 1,010 random general queries
 TIE_RTOL = 1e-12
-
-_AFFECTED: dict[tuple, tuple[str, ...]] = {}
 
 
 # -- observed frequency estimates -------------------------------------------------
@@ -181,116 +186,150 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     Returns one array per variable, shaped like its CPT.  With the default
     weights ``1/len(qs)`` this is the gradient of :func:`scoring.empirical_err`.
     Blanket queries take the local-arithmetic path, with no elimination.
-    Every other query costs one forward replay of its evidence-only plan,
-    which keeps the target variables, and one reverse sweep over it that
-    yields every CPT's derivative; nothing is divided by an entry.  Entries
-    whose family is d-separated from a query's target get exact zeros.  A
-    zero entry in a family the query can affect raises ``ValueError``, as
-    in :func:`db_dentry`.
+    All other queries share one :class:`_Program`: one batched forward
+    replay of the evidence-free plan answers every one of them, and one
+    batched reverse sweep over it yields every CPT's derivative; nothing is
+    divided by an entry.  Entries whose family is d-separated from a
+    query's target get exact zeros from that query.  A zero entry in a
+    family the query can affect raises ``ValueError``, as in
+    :func:`db_dentry`.
     """
     if weights is None:
         weights = [1.0 / len(qs)] * len(qs)
     if len(weights) != len(qs):
         raise ValueError("weights must match queries")
-    _, states = _evaluate(b, qs, weights)
-    return _grad_from_states(b, qs, weights, states)
+    prog = _program(b, qs)
+    _, state = _evaluate(b, prog, qs, weights)
+    return _grad_from_state(b, prog, qs, weights, state)
 
 
-def _evaluate(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float],
-              ) -> tuple[float, list[tuple]]:
-    """The weighted squared error ``sum w (B - p)^2`` of ``b``'s answers, in
-    query order, and each query's forward state for
-    :func:`_grad_from_states`.
+@dataclass(frozen=True)
+class _Program:
+    """A query set's general queries as one batch over the evidence-free plan.
 
-    A blanket query's state is ``(B, post)`` with ``post`` its
-    :func:`mb_posterior`, so its ``B`` is the float :func:`answer` gives.
-    A general query's state is :func:`_replay_general`'s, whose ``B`` may
-    differ from :func:`cond_prob`'s by rounding.
+    General query ``k`` owns batch rows ``2k`` (its evidence) and ``2k + 1``
+    (its evidence and target).  Evidence enters as 0/1 indicators:
+    ``lam[i]`` holds, for each row, the indicator of variable ``i``'s
+    observed value (all ones where the row leaves it free), shaped to
+    broadcast against its CPT, or is None when no row observes it.  CPT
+    register ``i`` is the table times ``lam[i]``, so one replay gives
+    ``Z0 = B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[i]`` is
+    ``lam[i]`` times the 0/1 mask of rows whose query can affect ``i``'s
+    CPT (:func:`_family_can_affect`), or None when no query can, so the
+    summed register adjoints give exact zeros outside affected families.
+    Built from the structure and the queries alone, never from values.
     """
-    err = 0.0
-    states = []
-    for lq, w in zip(qs, weights):
+
+    plan: _Plan | None  # None when every query is a blanket query
+    slots: tuple[int | None, ...]  # each query's k, or None for a blanket query
+    affected: tuple[tuple[str, ...], ...]  # per general query, in k order
+    lam: tuple[np.ndarray | None, ...]
+    coef: tuple[np.ndarray | None, ...]
+
+
+def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
+    slots, rows, affected = [], [], []
+    for lq in qs:
         q = lq.query
         if is_markov_blanket_query(b, q):
+            slots.append(None)
+            continue
+        slots.append(len(affected))
+        rows += [q.evidence, {**q.evidence, **q.target}]
+        affected.append(tuple(v for v in b.names if _family_can_affect(b, v, q)))
+    plan = _compile(b.signature(), frozenset(), ()) if rows else None
+    lam, coef = [], []
+    for v in b.names:
+        shape = (len(rows),) + (1,) * len(b.parents(v))
+        mask = np.array([v in affected[r // 2] for r in range(len(rows))], dtype=float)
+        mask = mask.reshape(shape + (1,))
+        ind = None
+        if any(v in row for row in rows):
+            # a row that leaves v free matches every value
+            ind = np.array([[float(row.get(v, lab) == lab) for lab in b.domain(v)]
+                            for row in rows]).reshape(shape + (-1,))
+        lam.append(ind)
+        coef.append(None if not mask.any() else mask if ind is None else mask * ind)
+    return _Program(plan, tuple(slots), tuple(affected), tuple(lam), tuple(coef))
+
+
+def _evaluate(b: BayesNet, prog: _Program, qs: Sequence[LabeledQuery],
+              weights: Sequence[float]) -> tuple[float, tuple]:
+    """The weighted squared error ``sum w (B - p)^2`` of ``b``'s answers, in
+    query order, and the forward state :func:`_grad_from_state` needs:
+    each query's answer and the batched replay's registers.
+
+    A blanket query's answer is ``(B, post)`` with ``post`` its
+    :func:`mb_posterior`, so its ``B`` is the float :func:`answer` gives.
+    A general query's is ``(B, Z0)`` with ``B = Z1 / Z0`` from the replay,
+    which may differ from :func:`cond_prob`'s by rounding.  The first
+    query, in query order, whose evidence has zero probability raises
+    :class:`ZeroEvidence`.
+    """
+    regs = None
+    if prog.plan is not None:
+        tables = (b.cpts[v].table.reshape(shape) for v, shape in zip(b.names, prog.plan.shapes))
+        regs = _replay(prog.plan, [t if lam is None else t * lam
+                                   for t, lam in zip(tables, prog.lam)])
+    err = 0.0
+    answers = []
+    for lq, w, k in zip(qs, weights, prog.slots):
+        q = lq.query
+        if k is None:
             (v, v_val), = q.target.items()
             post = mb_posterior(b, v, q.evidence)
-            state = (float(post[b.code(v, v_val)]), post)
+            ans = (float(post[b.code(v, v_val)]), post)
         else:
-            state = _replay_general(b, q)
-        err += w * (state[0] - lq.label) ** 2
-        states.append(state)
-    return err, states
+            z0 = float(regs[-1][2 * k])
+            if z0 <= 0.0:
+                raise ZeroEvidence(q.evidence)
+            ans = (float(regs[-1][2 * k + 1]) / z0, z0)
+        err += w * (ans[0] - lq.label) ** 2
+        answers.append(ans)
+    return err, (answers, regs)
 
 
-def _grad_from_states(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float],
-                      states: Sequence[tuple]) -> dict[str, np.ndarray]:
-    """:func:`grad` from the states :func:`_evaluate` returned for ``b``:
-    one reverse sweep per general query and no replay."""
+def _grad_from_state(b: BayesNet, prog: _Program, qs: Sequence[LabeledQuery],
+                     weights: Sequence[float], state: tuple) -> dict[str, np.ndarray]:
+    """:func:`grad` from the state :func:`_evaluate` returned for ``b``: one
+    batched reverse sweep and no replay.
+
+    With ``c = 2w(B - p) / Z0`` a general query's squared-error derivative
+    is ``c (dZ1 - B dZ0)``, so the sweep is seeded with ``-cB`` on its
+    evidence row and ``c`` on its evidence-and-target row, and each CPT's
+    gradient is its register adjoints summed over the rows with weights
+    ``coef``.  The replay's ``B`` may differ from :func:`cond_prob`'s by
+    rounding, so a label within ``TIE_RTOL`` of it is compared with
+    :func:`cond_prob`'s instead: a label that equals the answer gets exact
+    zeros.
+    """
+    answers, regs = state
     g = {v: np.zeros_like(b.cpts[v].table) for v in b.names}
-    for lq, w, state in zip(qs, weights, states):
-        if is_markov_blanket_query(b, lq.query):
-            _grad_blanket(g, b, lq, w, *state)
-        else:
-            _sweep_general(g, b, lq, w, *state)
+    seed = None if regs is None else np.zeros(regs[-1].shape)
+    checked: set[str] = set()
+    for lq, w, k, ans in zip(qs, weights, prog.slots, answers):
+        if k is None:
+            _grad_blanket(g, b, lq, w, *ans)
+            continue
+        B, z0 = ans
+        resid = B - lq.label
+        if abs(resid) <= TIE_RTOL * B:
+            resid = cond_prob(b, lq.query.target, lq.query.evidence) - lq.label
+        if resid == 0.0:
+            continue
+        for v in prog.affected[k]:
+            if v not in checked:
+                _check_positive(b, v)
+                checked.add(v)
+        c = 2.0 * w * resid / z0
+        seed[2 * k] = -c * B
+        seed[2 * k + 1] = c
+    if seed is not None and seed.any():
+        adj = _reverse(prog.plan, regs, seed)
+        for v, shape, coef, d in zip(b.names, prog.plan.shapes, prog.coef, adj):
+            if coef is not None:
+                g[v].reshape(shape)[...] += (coef * d).sum(axis=0)
     return g
-
-
-def _affected_families(b: BayesNet, q: StatQuery) -> tuple[str, ...]:
-    """The variables whose CPT can move B(target|evidence), by
-    :func:`_family_can_affect`; cached per (structure, target variables,
-    evidence variables), since it never looks at values."""
-    key = (b.signature(), frozenset(q.target), frozenset(q.evidence))
-    mask = _AFFECTED.get(key)
-    if mask is None:
-        if len(_AFFECTED) >= AFFECTED_CACHE_SIZE:
-            del _AFFECTED[next(iter(_AFFECTED))]
-        mask = _AFFECTED[key] = tuple(v for v in b.names if _family_can_affect(b, v, q))
-    return mask
-
-
-def _replay_general(b: BayesNet, q: StatQuery) -> tuple:
-    """One forward replay of the evidence-only plan that keeps the target
-    variables: ``(B, (plan, index, registers), Z0, x)``.
-
-    The kept table ``T`` holds ``B(t, y)`` for every target value ``t``,
-    so ``Z0 = B(y)`` is its sum and ``B = T[x] / Z0``, with ``x`` the
-    index of the query's target values.
-    """
-    keep = tuple(q.target)
-    replay = _forward(b, q.evidence, keep)
-    table = replay[2][-1]
-    z0 = float(table.sum())
-    if z0 <= 0.0:
-        raise ZeroEvidence(q.evidence)
-    x = tuple(b.code(v, q.target[v]) for v in keep)
-    return float(table[x]) / z0, replay, z0, x
-
-
-def _sweep_general(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float,
-                   B: float, replay: tuple, z0: float, x: tuple[int, ...]) -> None:
-    """One reverse sweep over a general query's replay.
-
-    ``dB/dT = (onehot_x - B) / Z0``, so seeding the sweep with ``2w(B - p)``
-    times that gives the query's squared-error derivative for every entry:
-    the family-posterior form of the module docstring multiplied out, so
-    no entry is divided by.  The replay's ``B`` may differ from
-    :func:`cond_prob`'s by rounding, so a label within ``TIE_RTOL`` of it
-    is compared with :func:`cond_prob`'s instead: a label that equals the
-    answer gets exact zeros.
-    """
-    resid = B - lq.label
-    if abs(resid) <= TIE_RTOL * B:
-        resid = cond_prob(b, lq.query.target, lq.query.evidence) - lq.label
-    if resid == 0.0:
-        return
-    plan, index, regs = replay
-    seed = np.full(regs[-1].shape, -B)
-    seed[x] += 1.0
-    seed *= 2.0 * w * resid / z0
-    affected = _affected_families(b, lq.query)
-    for v, dv in _reverse(plan, index, regs, seed, affected).items():
-        _check_positive(b, v)
-        g[v] += dv
 
 
 def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float,
@@ -412,24 +451,55 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _materialize(structure: BayesNet, scores: dict[str, np.ndarray], eps: float) -> BayesNet:
-    return structure.with_tables({v: clamp_row(_softmax_rows(s), eps) for v, s in scores.items()})
+# variable -> (arity, its rows in that arity's stack)
+_Layout = dict[str, tuple[int, slice]]
 
 
-def _chain_to_scores(scores: dict[str, np.ndarray], g_entries: Mapping[str, np.ndarray],
-                     eps: float) -> dict[str, np.ndarray]:
-    """Pull an entry-space gradient back through clamp(softmax(scores)).
+def _layout(structure: BayesNet) -> _Layout:
+    """Where each variable's rows sit in one ``(rows, m)`` stack per arity
+    ``m``, so that row-wise maps run once per arity, not once per variable."""
+    layout: _Layout = {}
+    ends: dict[int, int] = {}
+    for v in structure.names:
+        rows, m = structure.cpts[v].table.shape
+        lo = ends.get(m, 0)
+        ends[m] = lo + rows
+        layout[v] = (m, slice(lo, lo + rows))
+    return layout
+
+
+def _stack(layout: _Layout, per_var: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
+    parts: dict[int, list[np.ndarray]] = {}
+    for v, (m, _) in layout.items():
+        parts.setdefault(m, []).append(per_var[v])
+    return {m: np.concatenate(p) for m, p in parts.items()}
+
+
+def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each variable's rows, as views into the stacks, in net order."""
+    return {v: stacks[m][rows] for v, (m, rows) in layout.items()}
+
+
+def _materialize(structure: BayesNet, layout: _Layout, scores: Mapping[int, np.ndarray],
+                 eps: float) -> BayesNet:
+    tables = {m: clamp_row(_softmax_rows(s), eps) for m, s in scores.items()}
+    return structure.with_tables(_unstack(layout, tables))
+
+
+def _chain_to_scores(scores: Mapping, g_entries: Mapping, eps: float) -> dict:
+    """Pull an entry-space gradient back through clamp(softmax(scores)),
+    one score block at a time.
 
     Row map: entry_k = eps + (1 - m*eps) * softmax(s)_k, so
     d err / d s_j = (1 - m*eps) * sm_j * (g_j - sum_k sm_k g_k).
     """
     out = {}
-    for v, s in scores.items():
+    for key, s in scores.items():
         sm = _softmax_rows(s)
         m = s.shape[1]
-        ge = g_entries[v]
+        ge = g_entries[key]
         inner = (sm * ge).sum(axis=1, keepdims=True)
-        out[v] = (1.0 - m * eps) * sm * (ge - inner)
+        out[key] = (1.0 - m * eps) * sm * (ge - inner)
     return out
 
 
@@ -475,24 +545,31 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     search stalls, or ``max_iters`` is reached.  The best restart by final
     error wins (ties broken by restart index).  No global optimality is
     claimed: the returned net is a local fit.
+
+    The query set is compiled once into a :class:`_Program`, so each
+    line-search trial costs one batched replay and each gradient one
+    batched sweep, however many general queries there are.  Scores live in
+    one stack per arity (:func:`_layout`).
     """
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
     rng = np.random.default_rng(opts.seed)
     weights = [1.0 / len(qs)] * len(qs)
+    prog = _program(structure, qs)
+    layout = _layout(structure)
     trace: list[TraceRow] = []
     best: tuple[float, int, BayesNet, bool] | None = None
     for restart in range(opts.restarts):
-        scores = {v: np.clip(s, -SCORE_BOUND, SCORE_BOUND)
-                  for v, s in _initial_scores(structure, opts, restart, rng, init_net).items()}
-        net = _materialize(structure, scores, opts.eps_clamp)
-        err, states = _evaluate(net, qs, weights)
+        scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
+            layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
+        net = _materialize(structure, layout, scores, opts.eps_clamp)
+        err, state = _evaluate(net, prog, qs, weights)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_entries = _grad_from_states(net, qs, weights, states)
+            g_entries = _stack(layout, _grad_from_state(net, prog, qs, weights, state))
             g_scores = _chain_to_scores(scores, g_entries, opts.eps_clamp)
-            gnorm = _grad_norm(g_scores)
+            gnorm = _grad_norm(_unstack(layout, g_scores))
             if gnorm < opts.tol:
                 trace.append(TraceRow(restart, it, err, gnorm, 0.0, False))
                 converged = True
@@ -500,10 +577,10 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
             accepted = False
             t = step
             for _ in range(MAX_HALVINGS + 1):
-                candidate = {v: np.clip(s - t * g_scores[v], -SCORE_BOUND, SCORE_BOUND)
-                             for v, s in scores.items()}
-                cand_net = _materialize(structure, candidate, opts.eps_clamp)
-                cand_err, cand_states = _evaluate(cand_net, qs, weights)
+                candidate = {m: np.clip(s - t * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
+                             for m, s in scores.items()}
+                cand_net = _materialize(structure, layout, candidate, opts.eps_clamp)
+                cand_err, cand_state = _evaluate(cand_net, prog, qs, weights)
                 if cand_err < err:
                     accepted = True
                     break
@@ -511,7 +588,7 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
             trace.append(TraceRow(restart, it, err, gnorm, t if accepted else 0.0, accepted))
             if not accepted:
                 break
-            scores, net, err, states = candidate, cand_net, cand_err, cand_states
+            scores, net, err, state = candidate, cand_net, cand_err, cand_state
             step = t * 2.0
             if on_step is not None:
                 on_step(net, it, err)

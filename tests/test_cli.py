@@ -9,8 +9,8 @@ import pytest
 from querybn import load_net, net_to_dict, save_net, true_err
 from querybn.cli import main
 from querybn.experiments import ex41_bp, ex41_bsq, ex41_distribution, ex41_truth
-from querybn.queries import save_queries, StatQuery
-from querybn.sampling import forward_sample, load_dataset, save_dataset
+from querybn.queries import LabeledQuery, save_queries, StatQuery
+from querybn.sampling import cond_freq, forward_sample, load_dataset, save_dataset
 
 
 @pytest.fixture()
@@ -172,6 +172,40 @@ class TestLearnCommand:
         rows = list(csv.reader((out / "trace.csv").open()))
         assert rows[0][:3] == ["restart", "iteration", "err"]
         assert len(rows) > 1
+
+    def test_qfit_prints_the_written_nets_empirical_err(self, ex41_files, tmp_path, capsys):
+        # labels from sampled tuples, so the fitted error is not zero
+        from querybn import empirical_err
+        from querybn.queries import load_queries
+
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 2000, seed=0), dpath)
+        out = ex41_files["out"]
+        assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                     "--queries", str(ex41_files["queries"]), "--data", str(dpath),
+                     "--restarts", "3", "--max-iters", "300", "--seed", "0",
+                     "--out", str(out)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("final empirical err: "))
+        printed = float(line.split()[3])
+        net = load_net(out / "net.json")
+        data = load_dataset(dpath, net)
+        lqs = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
+               for q in load_queries(ex41_files["queries"], net).queries()]
+        assert printed == empirical_err(net, lqs).aggregate
+
+    def test_seeded_qfit_writes_identical_files(self, ex41_files, tmp_path):
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 2000, seed=4), dpath)
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                         "--queries", str(ex41_files["queries"]), "--data", str(dpath),
+                         "--restarts", "3", "--max-iters", "200", "--seed", "5",
+                         "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in ("net.json", "trace.csv")])
+        assert written[0] == written[1]
 
     def test_qfit_without_queries_exits_two(self, ex41_files):
         assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),

@@ -6,8 +6,8 @@ import pytest
 
 from querybn import BayesNet, Dag, StatQuery, ZeroEvidence
 from querybn.experiments import ex41_bp, ex41_bsq, ex42_query, ex42_truth
-from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile,
-                               _value_and_grad, answer, cond_prob, enumerate_marginal,
+from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile, _forward,
+                               _replay, _value_and_grad, answer, cond_prob, enumerate_marginal,
                                family_posterior, is_markov_blanket_query, marginal,
                                mb_posterior, mb_query)
 from querybn.random_nets import random_blanket_query, random_net, random_query
@@ -193,6 +193,32 @@ class TestPlans:
                 fd = (enumerate_marginal(perturb_entry(net, eid, h), e)
                       - enumerate_marginal(perturb_entry(net, eid, -h), e)) / (2 * h)
                 assert dz[eid.var][eid.row, eid.value] == pytest.approx(fd, abs=1e-12)
+
+    def test_a_batched_replay_gives_each_element_its_own_bits(self):
+        # elements share the structure, the evidence variables and the kept
+        # tuple; a register shared by every element carries no batch axis
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3, 4),
+                             max_parents=3)
+            e = _random_evidence(rng, net)
+            free = [v for v in net.names if v not in e]
+            keep = tuple(rng.choice(free, size=min(len(free), int(rng.integers(0, 3))),
+                                    replace=False))
+            size = int(rng.integers(2, 6))
+            elems = [_forward(_unnormalized(rng, net), e, keep) for _ in range(size)]
+            plan, n = elems[0][0], len(net.names)
+            shared = rng.random(n) < 0.3
+            regs = [elems[0][2][i] if shared[i] else np.stack([el[2][i] for el in elems])
+                    for i in range(n)]
+            for i in np.flatnonzero(shared):
+                for el in elems:
+                    el[2][i] = regs[i]
+            singles = [_replay(plan, el[2][:n]) for el in elems]
+            for r, batched in enumerate(_replay(plan, regs)):
+                for j, single in enumerate(singles):
+                    got = np.broadcast_to(batched, (size,) + single[r].shape)[j]
+                    assert got.tobytes() == single[r].tobytes()
 
     def test_reverse_pass_returns_only_the_requested_tables(self):
         net = chain_net(p_a=0.3, p_x_a=(0.2, 0.9), p_c_x=(0.4, 0.8))

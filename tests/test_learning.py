@@ -11,8 +11,8 @@ from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQ
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
 from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
-from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _materialize,
-                              _replay_general, _sweep_general)
+from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _layout,
+                              _materialize, _stack, _unstack)
 from querybn.network import clamp_net
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
@@ -255,15 +255,32 @@ class TestGrad:
         # a residual of zero needs no derivative, so the zero entry is fine
         assert not any(t.any() for t in grad(net, label_queries(net, [q])).values())
 
-    def test_blanket_path_equals_general_path(self):
+    def test_zero_evidence_names_the_query_that_has_it(self):
+        # both queries share one batched replay; only the second's evidence
+        # has probability zero
+        net = make_net([("A", "01"), ("B", "01"), ("C", "01")], [("A", "B"), ("B", "C")],
+                       {"A": [[1.0, 0.0]], "B": [[0.7, 0.3], [0.5, 0.5]],
+                        "C": [[0.3, 0.7], [0.6, 0.4]]})
+        lqs = [LabeledQuery(StatQuery({"C": "1"}, {"A": "0"}), 0.5),
+               LabeledQuery(StatQuery({"B": "1"}, {"A": "1"}), 0.5)]
+        assert not any(is_markov_blanket_query(net, lq.query) for lq in lqs)
+        with pytest.raises(ZeroEvidence) as exc:
+            grad(net, lqs)
+        assert exc.value.evidence == {"A": "1"}
+
+    def test_blanket_path_equals_general_path(self, monkeypatch):
+        import querybn.learning as learning
+
         rng = np.random.default_rng(58)
         for _ in range(25):
             net = random_net(rng, n_vars=int(rng.integers(3, 7)), arities=(2, 3), interior=0.12)
             q = random_blanket_query(rng, net)
             lq = LabeledQuery(q, float(rng.random()))
             fast = grad(net, [lq], weights=[1.0])
-            slow = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
-            _sweep_general(slow, net, lq, 1.0, *_replay_general(net, q))
+            with monkeypatch.context() as m:
+                # the batched program then takes the blanket query as a general one
+                m.setattr(learning, "is_markov_blanket_query", lambda b, q: False)
+                slow = grad(net, [lq], weights=[1.0])
             for v in net.names:
                 assert np.abs(fast[v] - slow[v]).max() < 1e-12
 
@@ -275,25 +292,27 @@ class TestGrad:
             qs = [random_query(rng, structure, max_target=1, max_evidence=2)
                   for _ in range(3)]
             lqs = [LabeledQuery(q, float(rng.random())) for q in qs]
-            scores = {v: rng.normal(0, 0.8, structure.cpts[v].table.shape)
-                      for v in structure.names}
-            net = _materialize(structure, scores, eps)
-            analytic = _chain_to_scores(scores, grad(net, lqs), eps)
+            layout = _layout(structure)
+            scores = _stack(layout, {v: rng.normal(0, 0.8, structure.cpts[v].table.shape)
+                                     for v in structure.names})
+            net = _materialize(structure, layout, scores, eps)
+            analytic = _unstack(layout, _chain_to_scores(scores, _stack(layout, grad(net, lqs)),
+                                                         eps))
 
             def err_at(sc):
                 from querybn.scoring import empirical_err
 
-                return empirical_err(_materialize(structure, sc, eps), lqs).aggregate
+                return empirical_err(_materialize(structure, layout, sc, eps), lqs).aggregate
 
             h = 1e-5
             for v in structure.names:
-                rows, arity = scores[v].shape
+                rows, arity = analytic[v].shape
                 for r in range(rows):
                     for k in range(arity):
-                        up = {u: s.copy() for u, s in scores.items()}
-                        dn = {u: s.copy() for u, s in scores.items()}
-                        up[v][r, k] += h
-                        dn[v][r, k] -= h
+                        up = {m: s.copy() for m, s in scores.items()}
+                        dn = {m: s.copy() for m, s in scores.items()}
+                        _unstack(layout, up)[v][r, k] += h
+                        _unstack(layout, dn)[v][r, k] -= h
                         fd = (err_at(up) - err_at(dn)) / (2 * h)
                         assert rel_err(analytic[v][r, k], fd, floor=1e-7) < 1e-4
 
@@ -311,15 +330,18 @@ class TestGradGeneralPath:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_summed_family_posteriors(self, seed):
-        # the one-pass gradient against the family-posterior form
+        # the batched gradient against the family-posterior form, one query
+        # at a time and for the whole set in one batch
         rng = np.random.default_rng(seed)
         net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
                          max_parents=int(rng.integers(1, 4)), interior=1e-9)
         net = clamp_net(net, float(rng.choice([1e-6, 1e-3, 0.05])))
-        for lq in _general_queries(rng, net, 3):
-            w = float(rng.uniform(0.1, 2.0))
-            new = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
-            _sweep_general(new, net, lq, w, *_replay_general(net, lq.query))
+        lqs = _general_queries(rng, net, 3)
+        ws = [float(rng.uniform(0.1, 2.0)) for _ in lqs]
+        summed = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
+        scale = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
+        for lq, w in zip(lqs, ws):
+            new = grad(net, [lq], weights=[w])
             q = lq.query
             B = cond_prob(net, q.target, q.evidence)
             for v in net.names:
@@ -328,6 +350,13 @@ class TestGradGeneralPath:
                     continue
                 old = _db_table(net, v, q, 2.0 * w * (B - lq.label) * B)
                 assert (np.abs(new[v] - old) <= 1e-12 * np.maximum(1.0, np.abs(old))).all()
+                summed[v] += old
+                scale[v] += np.abs(old)
+        batch = grad(net, lqs, weights=ws)
+        for v in net.names:
+            if not any(_family_can_affect(net, v, lq.query) for lq in lqs):
+                assert not batch[v].any()
+            assert (np.abs(batch[v] - summed[v]) <= 1e-12 * np.maximum(1.0, scale[v])).all()
 
 
 class TestGradWorkCount:
@@ -338,7 +367,7 @@ class TestGradWorkCount:
         import querybn.inference as inference
         import querybn.learning as learning
 
-        calls = {"_forward": 0, "_reverse": 0}
+        calls = {"_replay": 0, "_reverse": 0}
 
         def counting(name):
             real = getattr(learning, name)
@@ -358,12 +387,14 @@ class TestGradWorkCount:
                 monkeypatch.setattr(module, name, forbidden)
         return calls
 
-    def test_one_replay_and_one_sweep_per_general_query(self, passes):
+    def test_one_replay_and_one_sweep_per_gradient(self, passes):
+        # the whole query set is one batch, whatever its size
         rng = np.random.default_rng(60)
         net = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
-        lqs = _general_queries(rng, net, 6)
-        grad(net, lqs)
-        assert passes == {"_forward": len(lqs), "_reverse": len(lqs)}
+        for n in (1, 6):
+            grad(net, _general_queries(rng, net, n))
+            assert passes == {"_replay": 1, "_reverse": 1}
+            passes.update(_replay=0, _reverse=0)
 
     def test_no_plan_pass_for_blanket_queries(self, passes):
         rng = np.random.default_rng(61)
@@ -371,13 +402,13 @@ class TestGradWorkCount:
         lqs = [LabeledQuery(random_blanket_query(rng, net), float(rng.random()))
                for _ in range(5)]
         g = grad(net, lqs)
-        assert passes == {"_forward": 0, "_reverse": 0} and any(t.any() for t in g.values())
+        assert passes == {"_replay": 0, "_reverse": 0} and any(t.any() for t in g.values())
 
     def test_a_fit_replays_once_per_trial_and_sweeps_once_per_iteration(self, passes,
                                                                         monkeypatch):
         # every trial net (each restart's start and each line-search step)
-        # is replayed once per query; each gradient reuses the accepted
-        # trial's registers and only sweeps
+        # is one batched replay of the whole query set; each gradient
+        # reuses the accepted trial's registers and only sweeps
         import querybn.learning as learning
 
         trials = {"n": 0}
@@ -390,21 +421,23 @@ class TestGradWorkCount:
         monkeypatch.setattr(learning, "_materialize", counting)
         rng = np.random.default_rng(63)
         structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
-        lqs = _general_queries(rng, structure, 6)
-        fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
-        assert passes == {"_forward": len(lqs) * trials["n"],
-                          "_reverse": len(lqs) * len(fit.trace)}
+        for n in (1, 6):
+            trials["n"] = 0
+            passes.update(_replay=0, _reverse=0)
+            lqs = _general_queries(rng, structure, n)
+            fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
+            assert passes == {"_replay": trials["n"], "_reverse": len(fit.trace)}
 
     def test_a_fit_compiles_each_distinct_plan_once(self):
-        # one evidence-only plan per (evidence variables, target tuple)
+        # one evidence-free plan serves every general query; random labels
+        # never come within TIE_RTOL of an answer, so no tie re-answer runs
         rng = np.random.default_rng(62)
         structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
         lqs = _general_queries(rng, structure, 6)
-        keys = {(frozenset(lq.query.evidence), tuple(lq.query.target)) for lq in lqs}
         _compile.cache_clear()
         fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
         info = _compile.cache_info()
-        assert info.misses == info.currsize == len(keys)
+        assert info.misses == info.currsize == 1
 
 
 class TestFitCpt:
