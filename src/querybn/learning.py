@@ -12,31 +12,30 @@ The per-entry derivative of an answered conditional is
 so the derivative of one query's squared error is ``2 (B(x|y) - p)``
 times that.  It vanishes exactly when the answer is already correct, and
 when the evidence d-separates the entry's family from the target (those
-entries get exact zeros).  ``grad`` takes every general query of a query
-set from one batched replay of the evidence-free plan (a ``_Program``,
-built from the structure and the queries): evidence enters as 0/1
-indicator factors, query ``k`` owns one batch row for its evidence and
-one for its evidence and target, and the replay gives ``Z0 = B(y)``,
-``Z1 = B(x, y)`` and ``B(x|y) = Z1 / Z0`` for all of them at once.  One
-batched reverse sweep seeded with ``c = 2w(B - p) / Z0`` on the second
-row and ``-cB`` on the first then gives the form above multiplied out,
-so no entry is divided by; a 0/1 mask of the rows whose query can affect
-a family keeps its exact zeros.  ``db_dentry`` and ``derr_dentry`` keep
-the family-posterior form, an independent implementation.  For queries
-whose evidence covers the target's Markov blanket the whole gradient
-reduces to local CPT arithmetic (``_grad_blanket``); entries consistent
-with the query's assignment follow the closed form
+entries get exact zeros).  ``grad`` takes every labeled query of a set,
+blanket queries included, from one batched replay of the evidence-free
+plan (a ``_Program``, built from the structure and the queries):
+evidence enters as 0/1 indicator factors, query ``k`` owns one batch row
+for its evidence and one for its evidence and target, and the replay
+gives ``Z0 = B(y)``, ``Z1 = B(x, y)`` and ``B(x|y) = Z1 / Z0`` for all of
+them at once.  One batched reverse sweep seeded with ``c = 2w(B - p) / Z0``
+on the second row and ``-cB`` on the first then gives the form above
+multiplied out, so no entry is divided by; a 0/1 mask of the rows whose
+query can affect a family keeps its exact zeros.  A label within
+``TIE_RTOL`` relative of the replay's answer counts as met.
+``derr_dentry`` keeps the family-posterior form and ``derr_dentry_mb``
+the closed form ``2 (B - p) / e[q|r] * B * (1 - B)`` of a Markov-blanket
+query's consistent entries, with ``B`` from ``mb_posterior``: two
+implementations independent of the batch and of each other.
 
-    2 (B - p) / e[q|r] * B * (1 - B)
-
-``fit_cpt`` builds the program once and scores each line-search trial
-with one batched replay (``_evaluate``), not with
-``scoring.empirical_err``, and keeps the accepted trial's registers, so
-each of its gradients costs one batched reverse sweep and no replay.
-A trial thus eliminates the evidence-free net over ``2G`` rows for ``G``
-general queries, where per-query plans would each eliminate a net sliced
-by their own evidence; a net whose evidence-free elimination is much
-wider than its sliced ones pays for that.
+``fit_cpt`` builds the program once and scores each line-search trial by
+one batched replay of its clamped tables (``_evaluate``), with no net
+built, and keeps the accepted trial's registers, so each gradient costs
+one batched reverse sweep and no replay.  A trial thus eliminates the
+evidence-free net over ``2Q`` rows for ``Q`` queries, where per-query
+plans would each eliminate a net sliced by their own evidence; a net
+whose evidence-free elimination is much wider than its sliced ones pays
+for that.
 
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
@@ -69,8 +68,8 @@ DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
 MAX_HALVINGS = 30
 SCORE_BOUND = 30.0
-# a kept-target replay's B(x|y) differs from cond_prob's by rounding only,
-# at most 7e-16 relative on 1,010 random general queries
+# a label this close, relative, to a replay's B(x|y) counts as met; that B differs from
+# answer's by 6e-16 relative at most, on 1,010 general and 1,032 blanket random queries
 TIE_RTOL = 1e-12
 
 
@@ -122,14 +121,14 @@ def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
 
     With ``scale = B(x|y)`` this is dB(x|y)/de for the whole table.
     """
-    _check_positive(b, v)
+    _check_positive(b, v, b.cpts[v].table)
     p1 = family_posterior(b, v, {**q.target, **q.evidence})
     p0 = family_posterior(b, v, q.evidence)
     return scale * (p1 - p0) / b.cpts[v].table
 
 
-def _check_positive(b: BayesNet, v: str) -> None:
-    table = b.cpts[v].table
+def _check_positive(b: BayesNet, v: str, table: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first zero entry of ``table``, ``v``'s CPT."""
     if (table <= 0.0).any():
         row, col = np.argwhere(table <= 0.0)[0]
         raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
@@ -158,25 +157,31 @@ def derr_dentry(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
 
 
 def derr_dentry_mb(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
-    """Blanket-query closed form for the squared-error derivative.
+    """Blanket-query closed form ``2 (B - p) B (1 - B) / e`` of the
+    squared-error derivative, with ``B`` from :func:`mb_posterior`.
 
     Requires the query's evidence to cover the target's Markov blanket.
-    Entries whose event (value, parent row) is not consistent with the
-    query's target-plus-evidence assignment contribute 0 by convention;
-    the rest are read from the blanket gradient.
+    Entries whose family lacks the target or whose event (value, parent
+    row) contradicts the query's assignment contribute 0 by convention.
+    A zero entry raises ``ValueError`` unless the numerator is 0.
     """
     q = lq.query
     if not is_markov_blanket_query(b, q):
         raise ValueError("query is not a Markov-blanket query")
+    (v, v_val), = q.target.items()
     assignment = {**q.target, **q.evidence}
-    fam = (e.var, *b.parents(e.var))
-    if any(f not in assignment for f in fam):
-        return 0.0
-    event = dict(b.decode_row(e.var, e.row))
+    event = dict(b.decode_row(e.var, e.row))  # the entry's family, parents first
     event[e.var] = b.label(e.var, e.value)
-    if any(assignment[f] != val for f, val in event.items()):
+    if v not in event or any(assignment[f] != val for f, val in event.items()):
         return 0.0
-    return float(grad(b, [lq], weights=[1.0])[e.var][e.row, e.value])
+    B = float(mb_posterior(b, v, q.evidence)[b.code(v, v_val)])
+    numer = 2.0 * (B - lq.label) * B * (1.0 - B)
+    if numer == 0.0:
+        return 0.0
+    entry = float(b.cpts[e.var].table[e.row, e.value])
+    if entry <= 0.0:
+        raise ValueError(f"entry {b.describe_entry(e)} is zero; gradient undefined")
+    return numer / entry
 
 
 def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | None = None,
@@ -185,29 +190,33 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
 
     Returns one array per variable, shaped like its CPT.  With the default
     weights ``1/len(qs)`` this is the gradient of :func:`scoring.empirical_err`.
-    Blanket queries take the local-arithmetic path, with no elimination.
-    All other queries share one :class:`_Program`: one batched forward
-    replay of the evidence-free plan answers every one of them, and one
-    batched reverse sweep over it yields every CPT's derivative; nothing is
-    divided by an entry.  Entries whose family is d-separated from a
-    query's target get exact zeros from that query.  A zero entry in a
-    family the query can affect raises ``ValueError``, as in
-    :func:`db_dentry`.
+    Every query, blanket queries included, shares one :class:`_Program`:
+    one batched replay of the evidence-free plan answers them all and one
+    batched reverse sweep yields every CPT's derivative, dividing by no
+    entry.  A label within 1e-12 relative of the replay's answer
+    (``TIE_RTOL``) counts as met and gives exact zeros, as do entries whose
+    family is d-separated from a query's target.  Evidence of probability
+    zero raises :class:`ZeroEvidence`, for a blanket query too, which
+    :func:`answer`'s fast path does not notice.  A zero entry in a family
+    the query can affect raises ``ValueError``, as in :func:`db_dentry`.
     """
+    if not qs:
+        raise ValueError("grad needs at least one labeled query")
     if weights is None:
         weights = [1.0 / len(qs)] * len(qs)
     if len(weights) != len(qs):
         raise ValueError("weights must match queries")
+    tables = [b.cpts[v].table for v in b.names]
     prog = _program(b, qs)
-    _, state = _evaluate(b, prog, qs, weights)
-    return _grad_from_state(b, prog, qs, weights, state)
+    _, state = _evaluate(prog, tables, qs, weights)
+    return _grad_from_state(b, prog, tables, qs, weights, state)
 
 
 @dataclass(frozen=True)
 class _Program:
-    """A query set's general queries as one batch over the evidence-free plan.
+    """A query set as one batch over the evidence-free plan.
 
-    General query ``k`` owns batch rows ``2k`` (its evidence) and ``2k + 1``
+    Query ``k`` owns batch rows ``2k`` (its evidence) and ``2k + 1``
     (its evidence and target).  Evidence enters as 0/1 indicators:
     ``lam[i]`` holds, for each row, the indicator of variable ``i``'s
     observed value (all ones where the row leaves it free), shaped to
@@ -220,28 +229,23 @@ class _Program:
     Built from the structure and the queries alone, never from values.
     """
 
-    plan: _Plan | None  # None when every query is a blanket query
-    slots: tuple[int | None, ...]  # each query's k, or None for a blanket query
-    affected: tuple[tuple[str, ...], ...]  # per general query, in k order
+    plan: _Plan
+    affected: tuple[tuple[int, ...], ...]  # per query, the net positions it can affect
     lam: tuple[np.ndarray | None, ...]
     coef: tuple[np.ndarray | None, ...]
 
 
 def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
-    slots, rows, affected = [], [], []
+    rows, affected = [], []
     for lq in qs:
         q = lq.query
-        if is_markov_blanket_query(b, q):
-            slots.append(None)
-            continue
-        slots.append(len(affected))
         rows += [q.evidence, {**q.evidence, **q.target}]
-        affected.append(tuple(v for v in b.names if _family_can_affect(b, v, q)))
-    plan = _compile(b.signature(), frozenset(), ()) if rows else None
+        affected.append(tuple(i for i, v in enumerate(b.names) if _family_can_affect(b, v, q)))
+    plan = _compile(b.signature(), frozenset(), ())
     lam, coef = [], []
-    for v in b.names:
+    for i, v in enumerate(b.names):
         shape = (len(rows),) + (1,) * len(b.parents(v))
-        mask = np.array([v in affected[r // 2] for r in range(len(rows))], dtype=float)
+        mask = np.array([i in affected[r // 2] for r in range(len(rows))], dtype=float)
         mask = mask.reshape(shape + (1,))
         ind = None
         if any(v in row for row in rows):
@@ -250,125 +254,72 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
                             for row in rows]).reshape(shape + (-1,))
         lam.append(ind)
         coef.append(None if not mask.any() else mask if ind is None else mask * ind)
-    return _Program(plan, tuple(slots), tuple(affected), tuple(lam), tuple(coef))
+    return _Program(plan, tuple(affected), tuple(lam), tuple(coef))
 
 
-def _evaluate(b: BayesNet, prog: _Program, qs: Sequence[LabeledQuery],
+def _evaluate(prog: _Program, tables: Sequence[np.ndarray], qs: Sequence[LabeledQuery],
               weights: Sequence[float]) -> tuple[float, tuple]:
-    """The weighted squared error ``sum w (B - p)^2`` of ``b``'s answers, in
-    query order, and the forward state :func:`_grad_from_state` needs:
-    each query's answer and the batched replay's registers.
+    """The weighted squared error ``sum w (B - p)^2`` of the answers that
+    CPTs ``tables`` (one per variable, in net order) give, summed in query
+    order, and the forward state :func:`_grad_from_state` needs: each
+    query's ``(B, Z0)`` and the batched replay's registers.
 
-    A blanket query's answer is ``(B, post)`` with ``post`` its
-    :func:`mb_posterior`, so its ``B`` is the float :func:`answer` gives.
-    A general query's is ``(B, Z0)`` with ``B = Z1 / Z0`` from the replay,
-    which may differ from :func:`cond_prob`'s by rounding.  The first
-    query, in query order, whose evidence has zero probability raises
+    ``B = Z1 / Z0`` may differ from :func:`answer`'s by rounding.  The
+    first query, in query order, whose evidence has zero probability raises
     :class:`ZeroEvidence`.
     """
-    regs = None
-    if prog.plan is not None:
-        tables = (b.cpts[v].table.reshape(shape) for v, shape in zip(b.names, prog.plan.shapes))
-        regs = _replay(prog.plan, [t if lam is None else t * lam
-                                   for t, lam in zip(tables, prog.lam)])
+    regs = _replay(prog.plan, [t.reshape(shape) if lam is None else t.reshape(shape) * lam
+                               for t, shape, lam in zip(tables, prog.plan.shapes, prog.lam)])
+    z = regs[-1].tolist()
     err = 0.0
     answers = []
-    for lq, w, k in zip(qs, weights, prog.slots):
-        q = lq.query
-        if k is None:
-            (v, v_val), = q.target.items()
-            post = mb_posterior(b, v, q.evidence)
-            ans = (float(post[b.code(v, v_val)]), post)
-        else:
-            z0 = float(regs[-1][2 * k])
-            if z0 <= 0.0:
-                raise ZeroEvidence(q.evidence)
-            ans = (float(regs[-1][2 * k + 1]) / z0, z0)
-        err += w * (ans[0] - lq.label) ** 2
-        answers.append(ans)
+    for k, (lq, w) in enumerate(zip(qs, weights)):
+        z0 = z[2 * k]
+        if z0 <= 0.0:
+            raise ZeroEvidence(lq.query.evidence)
+        B = z[2 * k + 1] / z0
+        err += w * (B - lq.label) ** 2
+        answers.append((B, z0))
     return err, (answers, regs)
 
 
-def _grad_from_state(b: BayesNet, prog: _Program, qs: Sequence[LabeledQuery],
-                     weights: Sequence[float], state: tuple) -> dict[str, np.ndarray]:
-    """:func:`grad` from the state :func:`_evaluate` returned for ``b``: one
-    batched reverse sweep and no replay.
+def _grad_from_state(b: BayesNet, prog: _Program, tables: Sequence[np.ndarray],
+                     qs: Sequence[LabeledQuery], weights: Sequence[float],
+                     state: tuple) -> dict[str, np.ndarray]:
+    """:func:`grad` for ``b``'s structure with CPTs ``tables`` (in net
+    order), from the state :func:`_evaluate` returned for them: one batched
+    reverse sweep and no replay.
 
-    With ``c = 2w(B - p) / Z0`` a general query's squared-error derivative
-    is ``c (dZ1 - B dZ0)``, so the sweep is seeded with ``-cB`` on its
+    With ``c = 2w(B - p) / Z0`` a query's squared-error derivative is
+    ``c (dZ1 - B dZ0)``, so the sweep is seeded with ``-cB`` on its
     evidence row and ``c`` on its evidence-and-target row, and each CPT's
     gradient is its register adjoints summed over the rows with weights
-    ``coef``.  The replay's ``B`` may differ from :func:`cond_prob`'s by
-    rounding, so a label within ``TIE_RTOL`` of it is compared with
-    :func:`cond_prob`'s instead: a label that equals the answer gets exact
-    zeros.
+    ``coef``.  A query with ``|B - p| <= TIE_RTOL * B`` seeds nothing, so a
+    label that equals the answer gets exact zeros although the replay's
+    ``B`` may differ from :func:`answer`'s by rounding.
     """
     answers, regs = state
-    g = {v: np.zeros_like(b.cpts[v].table) for v in b.names}
-    seed = None if regs is None else np.zeros(regs[-1].shape)
-    checked: set[str] = set()
-    for lq, w, k, ans in zip(qs, weights, prog.slots, answers):
-        if k is None:
-            _grad_blanket(g, b, lq, w, *ans)
-            continue
-        B, z0 = ans
+    names = b.names
+    seed = np.zeros(regs[-1].shape)
+    checked: set[int] = set()
+    for k, (lq, w, (B, z0)) in enumerate(zip(qs, weights, answers)):
         resid = B - lq.label
         if abs(resid) <= TIE_RTOL * B:
-            resid = cond_prob(b, lq.query.target, lq.query.evidence) - lq.label
-        if resid == 0.0:
             continue
-        for v in prog.affected[k]:
-            if v not in checked:
-                _check_positive(b, v)
-                checked.add(v)
+        for i in prog.affected[k]:
+            if i not in checked:
+                _check_positive(b, names[i], tables[i])
+                checked.add(i)
         c = 2.0 * w * resid / z0
         seed[2 * k] = -c * B
         seed[2 * k + 1] = c
-    if seed is not None and seed.any():
+    g = {v: np.zeros_like(t) for v, t in zip(names, tables)}
+    if seed.any():
         adj = _reverse(prog.plan, regs, seed)
-        for v, shape, coef, d in zip(b.names, prog.plan.shapes, prog.coef, adj):
+        for v, shape, coef, d in zip(names, prog.plan.shapes, prog.coef, adj):
             if coef is not None:
                 g[v].reshape(shape)[...] += (coef * d).sum(axis=0)
     return g
-
-
-def _grad_blanket(g: dict[str, np.ndarray], b: BayesNet, lq: LabeledQuery, w: float,
-                  B: float, post: np.ndarray) -> None:
-    """Local-arithmetic gradient for a blanket query, from ``B`` and its
-    :func:`mb_posterior` ``post``.
-
-    Only the target's own row and its children's rows can matter.  For the
-    row configurations consistent with the evidence, the value matching the
-    query's assignment follows the ``2(B-p) B (1-B) / e`` closed form and
-    every sibling value v' follows ``-2(B-p) B B(v'|y) / e``; both fall out
-    of the same normalized score vector.
-    """
-    q = lq.query
-    (v, v_val), = q.target.items()
-    y = q.evidence
-    val = b.code(v, v_val)
-    resid = B - lq.label
-    if resid == 0.0:
-        return
-    coeff = 2.0 * w * resid * B
-
-    def add(var: str, row: int, col: int, numer: float) -> None:
-        if numer == 0.0:
-            return
-        entry = b.cpts[var].table[row, col]
-        if entry <= 0.0:
-            raise ValueError(f"entry {b.describe_entry(EntryId(var, row, col))} is zero; "
-                             "gradient undefined")
-        g[var][row, col] += numer / entry
-
-    own_row = b.row_index(v, y)
-    local = dict(y)
-    for k in range(b.arity(v)):
-        numer = coeff * (1.0 - B) if k == val else -coeff * float(post[k])
-        add(v, own_row, k, numer)
-        local[v] = b.label(v, k)
-        for c in b.children(v):
-            add(c, b.row_index(c, local), b.code(c, y[c]), numer)
 
 
 def flatten_grad(b: BayesNet, g: Mapping[str, np.ndarray]) -> dict[EntryId, float]:
@@ -480,10 +431,11 @@ def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.
     return {v: stacks[m][rows] for v, (m, rows) in layout.items()}
 
 
-def _materialize(structure: BayesNet, layout: _Layout, scores: Mapping[int, np.ndarray],
-                 eps: float) -> BayesNet:
+def _materialize(layout: _Layout, scores: Mapping[int, np.ndarray], eps: float,
+                 ) -> list[np.ndarray]:
+    """Each variable's clamped softmax rows, in net order."""
     tables = {m: clamp_row(_softmax_rows(s), eps) for m, s in scores.items()}
-    return structure.with_tables(_unstack(layout, tables))
+    return list(_unstack(layout, tables).values())
 
 
 def _chain_to_scores(scores: Mapping, g_entries: Mapping, eps: float) -> dict:
@@ -547,9 +499,10 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     claimed: the returned net is a local fit.
 
     The query set is compiled once into a :class:`_Program`, so each
-    line-search trial costs one batched replay and each gradient one
-    batched sweep, however many general queries there are.  Scores live in
-    one stack per arity (:func:`_layout`).
+    line-search trial costs one batched replay of its tables and each
+    gradient one batched sweep, however many queries there are.  Scores
+    live in one stack per arity (:func:`_layout`).  A net is built only
+    for ``on_step`` and for the returned fit.
     """
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
@@ -558,16 +511,21 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     prog = _program(structure, qs)
     layout = _layout(structure)
     trace: list[TraceRow] = []
-    best: tuple[float, int, BayesNet, bool] | None = None
+    best: tuple[float, int, list[np.ndarray], bool] | None = None
+
+    def net_of(tables: list[np.ndarray]) -> BayesNet:
+        return structure.with_tables(dict(zip(structure.names, tables)))
+
     for restart in range(opts.restarts):
         scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
             layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
-        net = _materialize(structure, layout, scores, opts.eps_clamp)
-        err, state = _evaluate(net, prog, qs, weights)
+        tables = _materialize(layout, scores, opts.eps_clamp)
+        err, state = _evaluate(prog, tables, qs, weights)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_entries = _stack(layout, _grad_from_state(net, prog, qs, weights, state))
+            g_entries = _stack(layout, _grad_from_state(structure, prog, tables, qs, weights,
+                                                        state))
             g_scores = _chain_to_scores(scores, g_entries, opts.eps_clamp)
             gnorm = _grad_norm(_unstack(layout, g_scores))
             if gnorm < opts.tol:
@@ -579,8 +537,8 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
             for _ in range(MAX_HALVINGS + 1):
                 candidate = {m: np.clip(s - t * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
                              for m, s in scores.items()}
-                cand_net = _materialize(structure, layout, candidate, opts.eps_clamp)
-                cand_err, cand_state = _evaluate(cand_net, prog, qs, weights)
+                cand_tables = _materialize(layout, candidate, opts.eps_clamp)
+                cand_err, cand_state = _evaluate(prog, cand_tables, qs, weights)
                 if cand_err < err:
                     accepted = True
                     break
@@ -588,14 +546,15 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
             trace.append(TraceRow(restart, it, err, gnorm, t if accepted else 0.0, accepted))
             if not accepted:
                 break
-            scores, net, err, state = candidate, cand_net, cand_err, cand_state
+            scores, tables, err, state = candidate, cand_tables, cand_err, cand_state
             step = t * 2.0
             if on_step is not None:
-                on_step(net, it, err)
+                on_step(net_of(tables), it, err)
         if best is None or err < best[0]:
-            best = (err, restart, net, converged)
-    err, restart, net, converged = best
-    return FitResult(net=net, err=err, trace=trace, restart=restart, converged=converged)
+            best = (err, restart, tables, converged)
+    err, restart, tables, converged = best
+    return FitResult(net=net_of(tables), err=err, trace=trace, restart=restart,
+                     converged=converged)
 
 
 def fit_cpt_from_events(structure: BayesNet, qs: Sequence[StatQuery], source: BayesNet,

@@ -10,7 +10,8 @@ from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQ
                      fit_cpt_from_events, flatten_grad, grad, ofe, true_err, validate)
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
-from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
+from querybn.inference import (_compile, answer, cond_prob, is_markov_blanket_query,
+                               legal_answer)
 from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _layout,
                               _materialize, _stack, _unstack)
 from querybn.network import clamp_net
@@ -194,6 +195,23 @@ class TestDerrDentryMb:
                 checked += 1
         assert checked >= 80
 
+    def test_never_reaches_the_batched_engine(self, monkeypatch):
+        # the closed form is its own implementation, independent of grad
+        import querybn.inference as inference
+        import querybn.learning as learning
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derr_dentry_mb replayed or swept a plan")
+
+        rng = np.random.default_rng(58)
+        net = random_net(rng, n_vars=6, arities=(2, 3), interior=0.12)
+        lq = LabeledQuery(random_blanket_query(rng, net), 0.3)
+        for module in (inference, learning):
+            for name in ("_replay", "_reverse"):
+                monkeypatch.setattr(module, name, refuse)
+        values = [derr_dentry_mb(net, lq, eid) for eid in self._consistent_entries(net, lq.query)]
+        assert any(v != 0.0 for v in values)
+
     def test_non_blanket_query_rejected(self):
         net = ex41_bp()
         lq = LabeledQuery(StatQuery({"C": "1"}, {"A": "1"}), 1.0)
@@ -255,6 +273,35 @@ class TestGrad:
         # a residual of zero needs no derivative, so the zero entry is fine
         assert not any(t.any() for t in grad(net, label_queries(net, [q])).values())
 
+    def test_empty_query_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one labeled query"):
+            grad(ex41_bp(), [])
+
+    def test_zero_evidence_blanket_query_raises(self):
+        # C is never 1, so the evidence A=1, C=1 is impossible, although B's
+        # blanket {A} alone does not show it
+        net = make_net([("A", "01"), ("B", "01"), ("C", "01")], [("A", "B")],
+                       {"A": [[0.4, 0.6]], "B": [[0.7, 0.3], [0.2, 0.8]], "C": [[1.0, 0.0]]})
+        q = StatQuery({"B": "1"}, {"A": "1", "C": "1"})
+        assert is_markov_blanket_query(net, q)
+        with pytest.raises(ZeroEvidence):
+            legal_answer(net, q)
+        with pytest.raises(ZeroEvidence):
+            grad(net, [LabeledQuery(q, 0.5)])
+
+    def test_a_label_within_tie_rtol_of_the_answer_counts_as_met(self):
+        rng = np.random.default_rng(66)
+        net = random_net(rng, n_vars=6, arities=(2, 3), interior=0.1)
+        general = _general_queries(rng, net, 1)[0].query
+        blanket = random_blanket_query(rng, net)
+        for q in (general, blanket):
+            B = answer(net, q)
+            assert 0.0 < B < 0.99
+            met = grad(net, [LabeledQuery(q, B * (1 + 5e-13))])
+            assert not any(t.any() for t in met.values())
+            off = grad(net, [LabeledQuery(q, B * (1 + 1e-9))])
+            assert any(t.any() for t in off.values())
+
     def test_zero_evidence_names_the_query_that_has_it(self):
         # both queries share one batched replay; only the second's evidence
         # has probability zero
@@ -268,22 +315,6 @@ class TestGrad:
             grad(net, lqs)
         assert exc.value.evidence == {"A": "1"}
 
-    def test_blanket_path_equals_general_path(self, monkeypatch):
-        import querybn.learning as learning
-
-        rng = np.random.default_rng(58)
-        for _ in range(25):
-            net = random_net(rng, n_vars=int(rng.integers(3, 7)), arities=(2, 3), interior=0.12)
-            q = random_blanket_query(rng, net)
-            lq = LabeledQuery(q, float(rng.random()))
-            fast = grad(net, [lq], weights=[1.0])
-            with monkeypatch.context() as m:
-                # the batched program then takes the blanket query as a general one
-                m.setattr(learning, "is_markov_blanket_query", lambda b, q: False)
-                slow = grad(net, [lq], weights=[1.0])
-            for v in net.names:
-                assert np.abs(fast[v] - slow[v]).max() < 1e-12
-
     def test_chained_score_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(59)
         eps = 1e-6
@@ -295,14 +326,16 @@ class TestGrad:
             layout = _layout(structure)
             scores = _stack(layout, {v: rng.normal(0, 0.8, structure.cpts[v].table.shape)
                                      for v in structure.names})
-            net = _materialize(structure, layout, scores, eps)
+            net = structure.with_tables(dict(zip(structure.names,
+                                                 _materialize(layout, scores, eps))))
             analytic = _unstack(layout, _chain_to_scores(scores, _stack(layout, grad(net, lqs)),
                                                          eps))
 
             def err_at(sc):
                 from querybn.scoring import empirical_err
 
-                return empirical_err(_materialize(structure, layout, sc, eps), lqs).aggregate
+                tables = dict(zip(structure.names, _materialize(layout, sc, eps)))
+                return empirical_err(structure.with_tables(tables), lqs).aggregate
 
             h = 1e-5
             for v in structure.names:
@@ -326,17 +359,22 @@ def _general_queries(rng, net, n):
     return qs
 
 
+def _blanket_queries(rng, net, n):
+    return [LabeledQuery(random_blanket_query(rng, net), float(rng.random())) for _ in range(n)]
+
+
 class TestGradGeneralPath:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_summed_family_posteriors(self, seed):
         # the batched gradient against the family-posterior form, one query
-        # at a time and for the whole set in one batch
+        # at a time and for the whole set in one batch; blanket queries ride
+        # the same batch as general ones
         rng = np.random.default_rng(seed)
         net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
                          max_parents=int(rng.integers(1, 4)), interior=1e-9)
         net = clamp_net(net, float(rng.choice([1e-6, 1e-3, 0.05])))
-        lqs = _general_queries(rng, net, 3)
+        lqs = _general_queries(rng, net, 3) + _blanket_queries(rng, net, 2)
         ws = [float(rng.uniform(0.1, 2.0)) for _ in lqs]
         summed = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
         scale = {v: np.zeros_like(net.cpts[v].table) for v in net.names}
@@ -378,13 +416,15 @@ class TestGradWorkCount:
             return wrapper
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("grad must not call cond_prob or family_posterior")
+            raise AssertionError("grad must not call cond_prob, family_posterior, "
+                                 "mb_posterior or answer")
 
         for name in calls:
             monkeypatch.setattr(learning, name, counting(name))
         for module in (inference, learning):
-            for name in ("cond_prob", "family_posterior"):
-                monkeypatch.setattr(module, name, forbidden)
+            for name in ("cond_prob", "family_posterior", "mb_posterior", "answer"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
         return calls
 
     def test_one_replay_and_one_sweep_per_gradient(self, passes):
@@ -396,13 +436,15 @@ class TestGradWorkCount:
             assert passes == {"_replay": 1, "_reverse": 1}
             passes.update(_replay=0, _reverse=0)
 
-    def test_no_plan_pass_for_blanket_queries(self, passes):
+    def test_a_mixed_set_costs_one_replay_and_one_sweep(self, passes):
+        # blanket queries take two batch rows like any other query, and
+        # never mb_posterior or cond_prob
         rng = np.random.default_rng(61)
         net = random_net(rng, n_vars=6, arities=(2, 3))
-        lqs = [LabeledQuery(random_blanket_query(rng, net), float(rng.random()))
-               for _ in range(5)]
+        lqs = _blanket_queries(rng, net, 3) + _general_queries(rng, net, 2)
+        lqs = [lqs[i] for i in rng.permutation(len(lqs))]
         g = grad(net, lqs)
-        assert passes == {"_replay": 0, "_reverse": 0} and any(t.any() for t in g.values())
+        assert passes == {"_replay": 1, "_reverse": 1} and any(t.any() for t in g.values())
 
     def test_a_fit_replays_once_per_trial_and_sweeps_once_per_iteration(self, passes,
                                                                         monkeypatch):
@@ -428,9 +470,34 @@ class TestGradWorkCount:
             fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
             assert passes == {"_replay": trials["n"], "_reverse": len(fit.trace)}
 
+    def test_a_fit_builds_a_net_only_for_on_step_and_its_result(self, passes, monkeypatch):
+        # trials are tables: with_tables runs once per on_step call and once
+        # for the returned net, and a mixed set is fitted without answer,
+        # cond_prob or mb_posterior
+        from querybn.network import BayesNet
+
+        built = {"n": 0}
+        real = BayesNet.with_tables
+
+        def counting(self, tables):
+            built["n"] += 1
+            return real(self, tables)
+
+        monkeypatch.setattr(BayesNet, "with_tables", counting)
+        rng = np.random.default_rng(64)
+        structure = random_net(rng, n_vars=7, arities=(2, 3), max_parents=3)
+        lqs = _general_queries(rng, structure, 3) + _blanket_queries(rng, structure, 3)
+        opts = FitOptions(restarts=2, max_iters=15, seed=0)
+        built["n"] = 0
+        fit_cpt(structure, lqs, opts)
+        assert built["n"] == 1
+        built["n"] = 0
+        fit = fit_cpt(structure, lqs, opts, on_step=lambda net, it, err: None)
+        accepted = sum(r.accepted for r in fit.trace)
+        assert accepted > 0 and built["n"] <= accepted + 1
+
     def test_a_fit_compiles_each_distinct_plan_once(self):
-        # one evidence-free plan serves every general query; random labels
-        # never come within TIE_RTOL of an answer, so no tie re-answer runs
+        # one evidence-free plan serves every query of the set
         rng = np.random.default_rng(62)
         structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
         lqs = _general_queries(rng, structure, 6)
