@@ -108,10 +108,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _fit_options(args) -> FitOptions:
+def _fit_options(args, structure: BayesNet) -> FitOptions:
     try:
-        return FitOptions(init=args.init, restarts=args.restarts, max_iters=args.max_iters,
+        opts = FitOptions(init=args.init, restarts=args.restarts, max_iters=args.max_iters,
                           tol=args.tol, eps_clamp=args.clamp, seed=args.seed)
+        opts.check_arities(structure)
+        return opts
     except ValueError as exc:
         raise _CliError(f"invalid fit options: {exc}", USAGE_ERROR)
 
@@ -130,7 +132,7 @@ def cmd_learn(args) -> int:
 
     if not args.queries:
         raise _CliError("learn --mode qfit requires --queries", USAGE_ERROR)
-    opts = _fit_options(args)
+    opts = _fit_options(args, structure)
     dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, structure))
     try:
         if dist.fully_labeled():

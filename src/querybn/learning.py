@@ -28,14 +28,17 @@ the closed form ``2 (B - p) / e[q|r] * B * (1 - B)`` of a Markov-blanket
 query's consistent entries, with ``B`` from ``mb_posterior``: two
 implementations independent of the batch and of each other.
 
-``fit_cpt`` builds the program once and scores each line-search trial by
-one batched replay of its clamped tables (``_evaluate``), with no net
-built, and keeps the accepted trial's registers, so each gradient costs
-one batched reverse sweep and no replay.  A trial thus eliminates the
-evidence-free net over ``2Q`` rows for ``Q`` queries, where per-query
-plans would each eliminate a net sliced by their own evidence; a net
-whose evidence-free elimination is much wider than its sliced ones pays
-for that.
+``fit_cpt`` builds the program once.  A line-search round scores up to
+``LINE_BATCH`` step halvings (``t``, ``t/2``, ``t/4``) in one batched
+replay of their clamped tables (``_evaluate``), with a candidate axis in
+front of the query rows and no net built, and accepts the first that
+lowers the error, so trials, steps and results are those of halving one
+step at a time.  The accepted candidate's registers are kept, so each
+gradient costs one batched reverse sweep and no replay, and comes back
+as one stack per arity.  A candidate thus eliminates the evidence-free
+net over ``2Q`` rows for ``Q`` queries, where per-query plans would each
+eliminate a net sliced by their own evidence; a net whose evidence-free
+elimination is much wider than its sliced ones pays for that.
 
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from .sampling import Dataset, collect_until_matched, cond_freq
 DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
 MAX_HALVINGS = 30
+LINE_BATCH = 3  # step halvings a line-search round scores in one batched replay
 SCORE_BOUND = 30.0
 # a label this close, relative, to a replay's B(x|y) counts as met; that B differs from
 # answer's by 6e-16 relative at most, on 1,010 general and 1,032 blanket random queries
@@ -121,14 +125,15 @@ def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
 
     With ``scale = B(x|y)`` this is dB(x|y)/de for the whole table.
     """
-    _check_positive(b, v, b.cpts[v].table)
+    _check_positive(b, v)
     p1 = family_posterior(b, v, {**q.target, **q.evidence})
     p0 = family_posterior(b, v, q.evidence)
     return scale * (p1 - p0) / b.cpts[v].table
 
 
-def _check_positive(b: BayesNet, v: str, table: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first zero entry of ``table``, ``v``'s CPT."""
+def _check_positive(b: BayesNet, v: str) -> None:
+    """Raise ``ValueError`` naming the first zero entry of ``v``'s CPT."""
+    table = b.cpts[v].table
     if (table <= 0.0).any():
         row, col = np.argwhere(table <= 0.0)[0]
         raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
@@ -206,10 +211,45 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
         weights = [1.0 / len(qs)] * len(qs)
     if len(weights) != len(qs):
         raise ValueError("weights must match queries")
-    tables = [b.cpts[v].table for v in b.names]
     prog = _program(b, qs)
-    _, state = _evaluate(prog, tables, qs, weights)
-    return _grad_from_state(b, prog, tables, qs, weights, state)
+    tables = _stack(prog.layout, {v: b.cpts[v].table[None] for v in b.names})
+    _, state = next(_evaluate(prog, tables, qs, weights))
+    # the families of every query whose label is not met, each once, in query order
+    for i in dict.fromkeys(i for lq, (B, _), affected in zip(qs, state[0], prog.affected)
+                           if not _met(B, lq.label) for i in affected):
+        _check_positive(b, b.names[i])
+    return _unstack(prog.layout, _grad_from_state(prog, qs, weights, state))
+
+
+# variable -> (arity, its rows in that arity's stack)
+_Layout = dict[str, tuple[int, slice]]
+
+
+def _layout(structure: BayesNet) -> _Layout:
+    """Where each variable's rows sit in one ``(rows, m)`` stack per arity
+    ``m``, so that row-wise maps run once per arity, not once per variable."""
+    layout: _Layout = {}
+    ends: dict[int, int] = {}
+    for v in structure.names:
+        rows, m = structure.cpts[v].table.shape
+        lo = ends.get(m, 0)
+        ends[m] = lo + rows
+        layout[v] = (m, slice(lo, lo + rows))
+    return layout
+
+
+def _stack(layout: _Layout, per_var: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
+    """One array per arity: the variables' arrays joined along their row
+    axis, the second to last, so leading axes ride along."""
+    parts: dict[int, list[np.ndarray]] = {}
+    for v, (m, _) in layout.items():
+        parts.setdefault(m, []).append(per_var[v])
+    return {m: np.concatenate(p, axis=-2) for m, p in parts.items()}
+
+
+def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each variable's rows, as views into the ``(rows, m)`` stacks, in net order."""
+    return {v: stacks[m][rows] for v, (m, rows) in layout.items()}
 
 
 @dataclass(frozen=True)
@@ -222,17 +262,19 @@ class _Program:
     observed value (all ones where the row leaves it free), shaped to
     broadcast against its CPT, or is None when no row observes it.  CPT
     register ``i`` is the table times ``lam[i]``, so one replay gives
-    ``Z0 = B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[i]`` is
-    ``lam[i]`` times the 0/1 mask of rows whose query can affect ``i``'s
-    CPT (:func:`_family_can_affect`), or None when no query can, so the
+    ``Z0 = B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[m]`` holds,
+    for the variables of arity ``m`` laid out as in ``layout``, ``lam``
+    times the 0/1 mask of rows whose query can affect the variable's CPT
+    (:func:`_family_can_affect`), shaped ``(rows, CPT rows, m)``, so the
     summed register adjoints give exact zeros outside affected families.
     Built from the structure and the queries alone, never from values.
     """
 
     plan: _Plan
     affected: tuple[tuple[int, ...], ...]  # per query, the net positions it can affect
+    layout: _Layout
     lam: tuple[np.ndarray | None, ...]
-    coef: tuple[np.ndarray | None, ...]
+    coef: dict[int, np.ndarray]
 
 
 def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
@@ -242,8 +284,8 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
         rows += [q.evidence, {**q.evidence, **q.target}]
         affected.append(tuple(i for i, v in enumerate(b.names) if _family_can_affect(b, v, q)))
     plan = _compile(b.signature(), frozenset(), ())
-    lam, coef = [], []
-    for i, v in enumerate(b.names):
+    lam, coef = [], {}
+    for i, (v, family) in enumerate(zip(b.names, plan.shapes)):
         shape = (len(rows),) + (1,) * len(b.parents(v))
         mask = np.array([i in affected[r // 2] for r in range(len(rows))], dtype=float)
         mask = mask.reshape(shape + (1,))
@@ -253,73 +295,86 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
             ind = np.array([[float(row.get(v, lab) == lab) for lab in b.domain(v)]
                             for row in rows]).reshape(shape + (-1,))
         lam.append(ind)
-        coef.append(None if not mask.any() else mask if ind is None else mask * ind)
-    return _Program(plan, tuple(affected), tuple(lam), tuple(coef))
+        c = mask if ind is None else mask * ind
+        coef[v] = np.broadcast_to(c, (len(rows),) + family).reshape(len(rows), -1, family[-1])
+    layout = _layout(b)
+    return _Program(plan, tuple(affected), layout, tuple(lam), _stack(layout, coef))
 
 
-def _evaluate(prog: _Program, tables: Sequence[np.ndarray], qs: Sequence[LabeledQuery],
-              weights: Sequence[float]) -> tuple[float, tuple]:
-    """The weighted squared error ``sum w (B - p)^2`` of the answers that
-    CPTs ``tables`` (one per variable, in net order) give, summed in query
+def _evaluate(prog: _Program, tables: Mapping[int, np.ndarray], qs: Sequence[LabeledQuery],
+              weights: Sequence[float]) -> Iterator[tuple[float, tuple]]:
+    """Score ``k`` candidate CPT sets in one batched replay.
+
+    ``tables`` holds one ``(k, rows, m)`` stack per arity ``m``, laid out
+    as ``prog.layout``.  Yields, candidate by candidate, the weighted
+    squared error ``sum w (B - p)^2`` of its answers, summed in query
     order, and the forward state :func:`_grad_from_state` needs: each
-    query's ``(B, Z0)`` and the batched replay's registers.
+    query's ``(B, Z0)``, the batched registers and the candidate's index.
+    The first query, in query order, whose evidence has zero probability
+    raises :class:`ZeroEvidence` when its candidate is reached, so a
+    candidate never asked for never raises.
 
-    ``B = Z1 / Z0`` may differ from :func:`answer`'s by rounding.  The
-    first query, in query order, whose evidence has zero probability raises
-    :class:`ZeroEvidence`.
+    A register carries the candidate axis and the query-row axis; a
+    variable no row observes keeps size 1 on the row axis and is not
+    multiplied by anything, which gives each candidate the bits of its own
+    unbatched replay.  ``B = Z1 / Z0`` may differ from :func:`answer`'s by
+    rounding.
     """
-    regs = _replay(prog.plan, [t.reshape(shape) if lam is None else t.reshape(shape) * lam
-                               for t, shape, lam in zip(tables, prog.plan.shapes, prog.lam)])
-    z = regs[-1].tolist()
-    err = 0.0
-    answers = []
-    for k, (lq, w) in enumerate(zip(qs, weights)):
-        z0 = z[2 * k]
-        if z0 <= 0.0:
-            raise ZeroEvidence(lq.query.evidence)
-        B = z[2 * k + 1] / z0
-        err += w * (B - lq.label) ** 2
-        answers.append((B, z0))
-    return err, (answers, regs)
+    regs = []
+    for (m, rows), shape, lam in zip(prog.layout.values(), prog.plan.shapes, prog.lam):
+        t = tables[m][:, rows].reshape((-1, 1) + shape)
+        regs.append(t if lam is None else t * lam)
+    regs = _replay(prog.plan, regs)
+    for j, z in enumerate(regs[-1].tolist()):
+        err = 0.0
+        answers = []
+        for k, (lq, w) in enumerate(zip(qs, weights)):
+            z0 = z[2 * k]
+            if z0 <= 0.0:
+                raise ZeroEvidence(lq.query.evidence)
+            B = z[2 * k + 1] / z0
+            err += w * (B - lq.label) ** 2
+            answers.append((B, z0))
+        yield err, (answers, regs, j)
 
 
-def _grad_from_state(b: BayesNet, prog: _Program, tables: Sequence[np.ndarray],
-                     qs: Sequence[LabeledQuery], weights: Sequence[float],
-                     state: tuple) -> dict[str, np.ndarray]:
-    """:func:`grad` for ``b``'s structure with CPTs ``tables`` (in net
-    order), from the state :func:`_evaluate` returned for them: one batched
-    reverse sweep and no replay.
+def _met(B: float, label: float) -> bool:
+    """Whether a replay's answer ``B`` meets ``label`` (``TIE_RTOL``)."""
+    return abs(B - label) <= TIE_RTOL * B
+
+
+def _grad_from_state(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequence[float],
+                     state: tuple) -> dict[int, np.ndarray]:
+    """:func:`grad` as one ``(rows, m)`` stack per arity, laid out as
+    ``prog.layout``, from the state :func:`_evaluate` yielded for one
+    candidate: one batched reverse sweep over its registers and no replay.
 
     With ``c = 2w(B - p) / Z0`` a query's squared-error derivative is
     ``c (dZ1 - B dZ0)``, so the sweep is seeded with ``-cB`` on its
-    evidence row and ``c`` on its evidence-and-target row, and each CPT's
-    gradient is its register adjoints summed over the rows with weights
-    ``coef``.  A query with ``|B - p| <= TIE_RTOL * B`` seeds nothing, so a
+    evidence row and ``c`` on its evidence-and-target row.  The register
+    adjoints are copied into one ``(query rows, rows, m)`` buffer per
+    arity, multiplied once by ``prog.coef`` and summed over the query
+    rows.  A query whose label is met (:func:`_met`) seeds nothing, so a
     label that equals the answer gets exact zeros although the replay's
-    ``B`` may differ from :func:`answer`'s by rounding.
+    ``B`` may differ from :func:`answer`'s by rounding.  Checks no entry
+    for zero; :func:`grad` does that.
     """
-    answers, regs = state
-    names = b.names
+    answers, regs, j = state
+    regs = [r[j] for r in regs]
     seed = np.zeros(regs[-1].shape)
-    checked: set[int] = set()
     for k, (lq, w, (B, z0)) in enumerate(zip(qs, weights, answers)):
-        resid = B - lq.label
-        if abs(resid) <= TIE_RTOL * B:
+        if _met(B, lq.label):
             continue
-        for i in prog.affected[k]:
-            if i not in checked:
-                _check_positive(b, names[i], tables[i])
-                checked.add(i)
-        c = 2.0 * w * resid / z0
+        c = 2.0 * w * (B - lq.label) / z0
         seed[2 * k] = -c * B
         seed[2 * k + 1] = c
-    g = {v: np.zeros_like(t) for v, t in zip(names, tables)}
-    if seed.any():
-        adj = _reverse(prog.plan, regs, seed)
-        for v, shape, coef, d in zip(names, prog.plan.shapes, prog.coef, adj):
-            if coef is not None:
-                g[v].reshape(shape)[...] += (coef * d).sum(axis=0)
-    return g
+    if not seed.any():
+        return {m: np.zeros(c.shape[1:]) for m, c in prog.coef.items()}
+    adj = _reverse(prog.plan, regs, seed)
+    bufs = {m: np.empty(c.shape) for m, c in prog.coef.items()}
+    for (m, rows), shape, d in zip(prog.layout.values(), prog.plan.shapes, adj):
+        bufs[m][:, rows].reshape(seed.shape + shape)[...] = d
+    return {m: (buf * prog.coef[m]).sum(axis=0) for m, buf in bufs.items()}
 
 
 def flatten_grad(b: BayesNet, g: Mapping[str, np.ndarray]) -> dict[EntryId, float]:
@@ -346,8 +401,8 @@ class FitOptions:
     alpha=1.0)`` there to start from observed frequencies).  Restarts after
     the first always draw fresh Dirichlet rows, since deterministic inits
     would just repeat themselves.  The first line-search step, the halving
-    limit and the score clip are the module constants ``FIRST_STEP``,
-    ``MAX_HALVINGS`` and ``SCORE_BOUND``.
+    limit, the round size and the score clip are the module constants
+    ``FIRST_STEP``, ``MAX_HALVINGS``, ``LINE_BATCH`` and ``SCORE_BOUND``.
     """
 
     init: str = "dirichlet"
@@ -366,6 +421,15 @@ class FitOptions:
             raise ValueError("eps_clamp must lie in (0, 0.5)")
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
+
+    def check_arities(self, structure: BayesNet) -> None:
+        """Raise ``ValueError`` naming the first variable of ``structure``
+        whose arity ``m`` leaves clamped rows no room: ``eps_clamp * m >= 1``."""
+        for v in structure.names:
+            m = structure.arity(v)
+            if self.eps_clamp * m >= 1.0:
+                raise ValueError(f"eps_clamp {self.eps_clamp} leaves no room for the "
+                                 f"{m} values of {v!r}")
 
 
 @dataclass(frozen=True)
@@ -397,45 +461,14 @@ class FitResult:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
+    z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-# variable -> (arity, its rows in that arity's stack)
-_Layout = dict[str, tuple[int, slice]]
-
-
-def _layout(structure: BayesNet) -> _Layout:
-    """Where each variable's rows sit in one ``(rows, m)`` stack per arity
-    ``m``, so that row-wise maps run once per arity, not once per variable."""
-    layout: _Layout = {}
-    ends: dict[int, int] = {}
-    for v in structure.names:
-        rows, m = structure.cpts[v].table.shape
-        lo = ends.get(m, 0)
-        ends[m] = lo + rows
-        layout[v] = (m, slice(lo, lo + rows))
-    return layout
-
-
-def _stack(layout: _Layout, per_var: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
-    parts: dict[int, list[np.ndarray]] = {}
-    for v, (m, _) in layout.items():
-        parts.setdefault(m, []).append(per_var[v])
-    return {m: np.concatenate(p) for m, p in parts.items()}
-
-
-def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.ndarray]:
-    """Each variable's rows, as views into the stacks, in net order."""
-    return {v: stacks[m][rows] for v, (m, rows) in layout.items()}
-
-
-def _materialize(layout: _Layout, scores: Mapping[int, np.ndarray], eps: float,
-                 ) -> list[np.ndarray]:
-    """Each variable's clamped softmax rows, in net order."""
-    tables = {m: clamp_row(_softmax_rows(s), eps) for m, s in scores.items()}
-    return list(_unstack(layout, tables).values())
+def _materialize(scores: Mapping[int, np.ndarray], eps: float) -> dict[int, np.ndarray]:
+    """The clamped softmax rows of every score stack, leading axes kept."""
+    return {m: clamp_row(_softmax_rows(s), eps) for m, s in scores.items()}
 
 
 def _chain_to_scores(scores: Mapping, g_entries: Mapping, eps: float) -> dict:
@@ -486,6 +519,37 @@ def _initial_scores(structure: BayesNet, opts: FitOptions, restart: int,
     return _scores_from_net(structure, init_net, opts.eps_clamp)
 
 
+def _pick(stacks: Mapping[int, np.ndarray], j: int) -> dict[int, np.ndarray]:
+    """Candidate ``j``'s slice of every stack."""
+    return {m: s[j] for m, s in stacks.items()}
+
+
+def _line_search(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequence[float],
+                 scores: Mapping[int, np.ndarray], g_scores: Mapping[int, np.ndarray],
+                 err: float, step: float, eps: float) -> tuple | None:
+    """The first of the steps ``step``, ``step/2``, ... (``MAX_HALVINGS``
+    halvings) whose error is below ``err``, as ``(t, scores, tables, err,
+    state)``, or None when every step fails.
+
+    The steps are scored ``LINE_BATCH`` at a time in one batched replay
+    (a round) and accepted in order, so the outcome is that of trying them
+    one by one: the halvings are the same floats, and a candidate after
+    the accepted one is scored but never reached.
+    """
+    ts = [step]
+    for _ in range(MAX_HALVINGS):
+        ts.append(ts[-1] * 0.5)
+    for lo in range(0, len(ts), LINE_BATCH):
+        batch = np.array(ts[lo:lo + LINE_BATCH]).reshape(-1, 1, 1)
+        cand = {m: np.clip(s - batch * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
+                for m, s in scores.items()}
+        tables = _materialize(cand, eps)
+        for j, (cand_err, state) in enumerate(_evaluate(prog, tables, qs, weights)):
+            if cand_err < err:
+                return ts[lo + j], _pick(cand, j), _pick(tables, j), cand_err, state
+    return None
+
+
 def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = FitOptions(),
             *, init_net: BayesNet | None = None,
             on_step: Callable[[BayesNet, int, float], None] | None = None) -> FitResult:
@@ -496,57 +560,53 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     stops when the score-space gradient norm falls below ``tol``, the step
     search stalls, or ``max_iters`` is reached.  The best restart by final
     error wins (ties broken by restart index).  No global optimality is
-    claimed: the returned net is a local fit.
+    claimed: the returned net is a local fit.  A clamp too wide for some
+    variable's arity raises ``ValueError`` before any work.
 
-    The query set is compiled once into a :class:`_Program`, so each
-    line-search trial costs one batched replay of its tables and each
-    gradient one batched sweep, however many queries there are.  Scores
-    live in one stack per arity (:func:`_layout`).  A net is built only
-    for ``on_step`` and for the returned fit.
+    The query set is compiled once into a :class:`_Program`.  Scores live
+    in one stack per arity (:func:`_layout`), and a line-search round
+    scores up to ``LINE_BATCH`` step halvings in one batched replay
+    (:func:`_line_search`), with the same trials, steps and results as
+    halving one step at a time.  Each gradient is one batched sweep over
+    the accepted candidate's registers and comes back as one stack per
+    arity.  A net is built only for ``on_step`` and for the returned fit.
     """
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
+    opts.check_arities(structure)
     rng = np.random.default_rng(opts.seed)
     weights = [1.0 / len(qs)] * len(qs)
     prog = _program(structure, qs)
-    layout = _layout(structure)
+    layout = prog.layout
     trace: list[TraceRow] = []
-    best: tuple[float, int, list[np.ndarray], bool] | None = None
+    best: tuple[float, int, dict[int, np.ndarray], bool] | None = None
 
-    def net_of(tables: list[np.ndarray]) -> BayesNet:
-        return structure.with_tables(dict(zip(structure.names, tables)))
+    def net_of(tables: Mapping[int, np.ndarray]) -> BayesNet:
+        return structure.with_tables(_unstack(layout, tables))
 
     for restart in range(opts.restarts):
         scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
             layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
-        tables = _materialize(layout, scores, opts.eps_clamp)
-        err, state = _evaluate(prog, tables, qs, weights)
+        tables = _materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
+        err, state = next(_evaluate(prog, tables, qs, weights))
+        tables = _pick(tables, 0)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_entries = _stack(layout, _grad_from_state(structure, prog, tables, qs, weights,
-                                                        state))
-            g_scores = _chain_to_scores(scores, g_entries, opts.eps_clamp)
+            g_scores = _chain_to_scores(scores, _grad_from_state(prog, qs, weights, state),
+                                        opts.eps_clamp)
             gnorm = _grad_norm(_unstack(layout, g_scores))
             if gnorm < opts.tol:
                 trace.append(TraceRow(restart, it, err, gnorm, 0.0, False))
                 converged = True
                 break
-            accepted = False
-            t = step
-            for _ in range(MAX_HALVINGS + 1):
-                candidate = {m: np.clip(s - t * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
-                             for m, s in scores.items()}
-                cand_tables = _materialize(layout, candidate, opts.eps_clamp)
-                cand_err, cand_state = _evaluate(prog, cand_tables, qs, weights)
-                if cand_err < err:
-                    accepted = True
-                    break
-                t *= 0.5
-            trace.append(TraceRow(restart, it, err, gnorm, t if accepted else 0.0, accepted))
-            if not accepted:
+            found = _line_search(prog, qs, weights, scores, g_scores, err, step,
+                                 opts.eps_clamp)
+            trace.append(TraceRow(restart, it, err, gnorm, 0.0 if found is None else found[0],
+                                  found is not None))
+            if found is None:
                 break
-            scores, tables, err, state = candidate, cand_tables, cand_err, cand_state
+            t, scores, tables, err, state = found
             step = t * 2.0
             if on_step is not None:
                 on_step(net_of(tables), it, err)

@@ -17,6 +17,7 @@ modification happens by building a new net (see :meth:`BayesNet.with_tables`).
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -174,12 +175,15 @@ class BayesNet:
         return cls(variables, dag, cpts)
 
     def with_tables(self, tables: Mapping[str, np.ndarray]) -> "BayesNet":
-        """Copy of this net with some CPT tables replaced."""
-        cpts = dict(self.cpts)
+        """Copy of this net with some CPT tables replaced.
+
+        The copy shares this net's structure and the maps derived from it,
+        which no net ever changes.
+        """
+        net = copy.copy(self)
+        net.cpts = dict(self.cpts)
         for name, table in tables.items():
-            cpts[name] = Cpt(name, np.asarray(table, dtype=float))
-        net = BayesNet(self.variables, self.dag, cpts)
-        net._signature = self._signature
+            net.cpts[name] = Cpt(name, np.asarray(table, dtype=float))
         return net
 
     # -- basic accessors -------------------------------------------------------

@@ -255,6 +255,19 @@ class TestLearnCommand:
                      "--out", str(ex41_files["out"])]) == 2
         assert "invalid fit options" in capsys.readouterr().err
 
+    def test_a_clamp_too_wide_for_a_ternary_variable_exits_two(self, tmp_path, capsys):
+        from querybn import BayesNet, Dag, Variable
+
+        net = BayesNet.uniform([Variable("A", ("0", "1")), Variable("T", ("0", "1", "2"))],
+                               Dag.from_edges(["A", "T"], [("A", "T")]))
+        npath, qpath = tmp_path / "net.json", tmp_path / "q.json"
+        save_net(net, npath)
+        save_queries(qpath, [(StatQuery({"T": "1"}, {"A": "1"}), 1.0, 0.5)])
+        assert main(["learn", "--mode", "qfit", "--net", str(npath), "--queries", str(qpath),
+                     "--clamp", "0.4", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid fit options" in err and "'T'" in err
+
     def test_ofe_without_data_exits_two(self, ex41_files):
         assert main(["learn", "--mode", "ofe", "--net", str(ex41_files["bp"]),
                      "--out", str(ex41_files["out"])]) == 2

@@ -196,7 +196,10 @@ class TestPlans:
 
     def test_a_batched_replay_gives_each_element_its_own_bits(self):
         # elements share the structure, the evidence variables and the kept
-        # tuple; a register shared by every element carries no batch axis
+        # tuple and sit on two batch axes, candidates x rows, as the fitter's
+        # line-search rounds do; a register shared by the rows of a candidate
+        # has size 1 on the row axis and is a strided view, and one shared by
+        # every element carries no batch axis
         rng = np.random.default_rng(29)
         for _ in range(300):
             net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3, 4),
@@ -205,20 +208,28 @@ class TestPlans:
             free = [v for v in net.names if v not in e]
             keep = tuple(rng.choice(free, size=min(len(free), int(rng.integers(0, 3))),
                                     replace=False))
-            size = int(rng.integers(2, 6))
-            elems = [_forward(_unnormalized(rng, net), e, keep) for _ in range(size)]
-            plan, n = elems[0][0], len(net.names)
-            shared = rng.random(n) < 0.3
-            regs = [elems[0][2][i] if shared[i] else np.stack([el[2][i] for el in elems])
-                    for i in range(n)]
-            for i in np.flatnonzero(shared):
-                for el in elems:
-                    el[2][i] = regs[i]
-            singles = [_replay(plan, el[2][:n]) for el in elems]
+            cands, size = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            elems = [[_forward(_unnormalized(rng, net), e, keep) for _ in range(size)]
+                     for _ in range(cands)]
+            plan, n = elems[0][0][0], len(net.names)
+            regs = []
+            for i, kind in enumerate(rng.choice(3, size=n, p=[0.5, 0.3, 0.2])):
+                if kind == 0:
+                    reg = np.stack([np.stack([el[2][i] for el in row]) for row in elems])
+                elif kind == 1:
+                    reg = np.stack([np.stack([row[0][2][i]] * 2) for row in elems])[:, :1]
+                else:
+                    reg = elems[0][0][2][i]
+                regs.append(reg)
+                for row in elems if kind else ():
+                    for el in row:
+                        el[2][i] = reg if kind == 2 else row[0][2][i]
+            singles = [[_replay(plan, el[2][:n]) for el in row] for row in elems]
             for r, batched in enumerate(_replay(plan, regs)):
-                for j, single in enumerate(singles):
-                    got = np.broadcast_to(batched, (size,) + single[r].shape)[j]
-                    assert got.tobytes() == single[r].tobytes()
+                for c, row in enumerate(singles):
+                    for j, single in enumerate(row):
+                        got = np.broadcast_to(batched, (cands, size) + single[r].shape)[c, j]
+                        assert got.tobytes() == single[r].tobytes()
 
     def test_reverse_pass_returns_only_the_requested_tables(self):
         net = chain_net(p_a=0.3, p_x_a=(0.2, 0.9), p_c_x=(0.4, 0.8))

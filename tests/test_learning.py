@@ -1,5 +1,7 @@
 """Parameter fitting: frequency estimates, analytic gradients, descent."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
 from querybn.inference import (_compile, answer, cond_prob, is_markov_blanket_query,
                                legal_answer)
-from querybn.learning import (_chain_to_scores, _db_table, _family_can_affect, _layout,
-                              _materialize, _stack, _unstack)
+from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _chain_to_scores,
+                              _db_table, _family_can_affect, _layout, _materialize, _stack,
+                              _unstack)
 from querybn.network import clamp_net
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
@@ -326,15 +329,14 @@ class TestGrad:
             layout = _layout(structure)
             scores = _stack(layout, {v: rng.normal(0, 0.8, structure.cpts[v].table.shape)
                                      for v in structure.names})
-            net = structure.with_tables(dict(zip(structure.names,
-                                                 _materialize(layout, scores, eps))))
+            net = structure.with_tables(_unstack(layout, _materialize(scores, eps)))
             analytic = _unstack(layout, _chain_to_scores(scores, _stack(layout, grad(net, lqs)),
                                                          eps))
 
             def err_at(sc):
                 from querybn.scoring import empirical_err
 
-                tables = dict(zip(structure.names, _materialize(layout, sc, eps)))
+                tables = _unstack(layout, _materialize(sc, eps))
                 return empirical_err(structure.with_tables(tables), lqs).aggregate
 
             h = 1e-5
@@ -446,29 +448,31 @@ class TestGradWorkCount:
         g = grad(net, lqs)
         assert passes == {"_replay": 1, "_reverse": 1} and any(t.any() for t in g.values())
 
-    def test_a_fit_replays_once_per_trial_and_sweeps_once_per_iteration(self, passes,
-                                                                        monkeypatch):
-        # every trial net (each restart's start and each line-search step)
-        # is one batched replay of the whole query set; each gradient
-        # reuses the accepted trial's registers and only sweeps
+    def test_a_fit_replays_once_per_round_and_sweeps_per_iteration(self, passes, monkeypatch):
+        # each restart's start is one batched replay of the whole query set,
+        # and so is each line-search round of at most LINE_BATCH candidate
+        # steps; each gradient reuses the accepted candidate's registers and
+        # only sweeps
         import querybn.learning as learning
 
-        trials = {"n": 0}
+        sizes = []
         real = learning._materialize
 
-        def counting(*args):
-            trials["n"] += 1
-            return real(*args)
+        def counting(scores, eps):
+            sizes.append(len(next(iter(scores.values()))))
+            return real(scores, eps)
 
         monkeypatch.setattr(learning, "_materialize", counting)
         rng = np.random.default_rng(63)
         structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
         for n in (1, 6):
-            trials["n"] = 0
+            sizes.clear()
             passes.update(_replay=0, _reverse=0)
             lqs = _general_queries(rng, structure, n)
-            fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
-            assert passes == {"_replay": trials["n"], "_reverse": len(fit.trace)}
+            opts = FitOptions(restarts=2, max_iters=15, seed=0)
+            fit = fit_cpt(structure, lqs, opts)
+            assert sizes == _round_sizes(fit, opts) and max(sizes) == LINE_BATCH
+            assert passes == {"_replay": len(sizes), "_reverse": len(fit.trace)}
 
     def test_a_fit_builds_a_net_only_for_on_step_and_its_result(self, passes, monkeypatch):
         # trials are tables: with_tables runs once per on_step call and once
@@ -505,6 +509,123 @@ class TestGradWorkCount:
         fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
         info = _compile.cache_info()
         assert info.misses == info.currsize == 1
+
+
+def _sequential_fit(structure, qs, opts, on_step=None):
+    """:func:`fit_cpt` as it ran before line-search rounds were batched: one
+    replay per trial, the step halved after each failed trial.  The
+    reference the rounds must match bit for bit."""
+    import querybn.learning as L
+
+    rng = np.random.default_rng(opts.seed)
+    weights = [1.0 / len(qs)] * len(qs)
+    prog = L._program(structure, qs)
+    layout = prog.layout
+    trace, best = [], None
+
+    def trial(scores):
+        tables = L._materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
+        err, state = next(L._evaluate(prog, tables, qs, weights))
+        return L._pick(tables, 0), err, state
+
+    def net_of(tables):
+        return structure.with_tables(_unstack(layout, tables))
+
+    for restart in range(opts.restarts):
+        scores = {m: np.clip(s, -L.SCORE_BOUND, L.SCORE_BOUND) for m, s in _stack(
+            layout, L._initial_scores(structure, opts, restart, rng, None)).items()}
+        tables, err, state = trial(scores)
+        step = FIRST_STEP
+        converged = False
+        for it in range(1, opts.max_iters + 1):
+            g_scores = _chain_to_scores(scores, L._grad_from_state(prog, qs, weights, state),
+                                        opts.eps_clamp)
+            gnorm = L._grad_norm(_unstack(layout, g_scores))
+            if gnorm < opts.tol:
+                trace.append(L.TraceRow(restart, it, err, gnorm, 0.0, False))
+                converged = True
+                break
+            accepted = False
+            t = step
+            for _ in range(MAX_HALVINGS + 1):
+                candidate = {m: np.clip(s - t * g_scores[m], -L.SCORE_BOUND, L.SCORE_BOUND)
+                             for m, s in scores.items()}
+                cand_tables, cand_err, cand_state = trial(candidate)
+                if cand_err < err:
+                    accepted = True
+                    break
+                t *= 0.5
+            trace.append(L.TraceRow(restart, it, err, gnorm, t if accepted else 0.0, accepted))
+            if not accepted:
+                break
+            scores, tables, err, state = candidate, cand_tables, cand_err, cand_state
+            step = t * 2.0
+            if on_step is not None:
+                on_step(net_of(tables), it, err)
+        if best is None or err < best[0]:
+            best = (err, restart, tables, converged)
+    err, restart, tables, converged = best
+    return L.FitResult(net=net_of(tables), err=err, trace=trace, restart=restart,
+                       converged=converged)
+
+
+def _round_sizes(fit, opts):
+    """The candidates each replay of a fit scores, worked out from its trace:
+    1 for each restart's start, then, for an iteration whose line search
+    made ``n`` trials, ``n`` split into rounds of at most ``LINE_BATCH``,
+    the last round cut at ``MAX_HALVINGS + 1`` trials."""
+    sizes, restart = [], None
+    for row in fit.trace:
+        if row.restart != restart:
+            sizes.append(1)
+            restart, step = row.restart, FIRST_STEP
+        if row.grad_norm < opts.tol:
+            continue
+        trials = round(math.log2(step / row.step)) + 1 if row.accepted else MAX_HALVINGS + 1
+        sizes += [min(LINE_BATCH, MAX_HALVINGS + 1 - lo) for lo in range(0, trials, LINE_BATCH)]
+        step = row.step * 2.0
+    return sizes
+
+
+def _fit_bytes(fit):
+    return ([(r.restart, r.iteration, r.err.hex(), r.grad_norm.hex(), r.step.hex(), r.accepted)
+             for r in fit.trace],
+            [fit.net.cpts[v].table.tobytes() for v in fit.net.names],
+            fit.err.hex(), fit.restart, fit.converged)
+
+
+class TestLineSearchRounds:
+    def test_rounds_match_the_sequential_search_bit_for_bit(self):
+        # results, trace and every on_step call, on mixed sets (49 of their
+        # iterations accept in a second round), on a stall that fails all
+        # MAX_HALVINGS + 1 trials and on fits cut by max_iters
+        rng = np.random.default_rng(65)
+        cases = []
+        for i in range(12):
+            structure = random_net(rng, n_vars=7, arities=(2, 3, 4), max_parents=3)
+            lqs = _general_queries(rng, structure, 3) + _blanket_queries(rng, structure, 3)
+            lqs = [lqs[k] for k in rng.permutation(len(lqs))]
+            cases.append((structure, lqs, FitOptions(restarts=2, max_iters=80, seed=i)))
+        cases.append((structure, lqs, FitOptions(restarts=2, max_iters=3, seed=0)))
+        stall = FitOptions(init="uniform", restarts=1, max_iters=50, tol=0.0)
+        cases.append((ex41_structure(), ex41_labeled_queries(), stall))
+        for structure, lqs, opts in cases:
+            calls = {"batched": [], "sequential": []}
+
+            def recorder(key):
+                return lambda net, it, err: calls[key].append(
+                    (it, err.hex(), [net.cpts[v].table.tobytes() for v in net.names]))
+
+            fit = fit_cpt(structure, lqs, opts, on_step=recorder("batched"))
+            ref = _sequential_fit(structure, lqs, opts, on_step=recorder("sequential"))
+            assert _fit_bytes(fit) == _fit_bytes(ref)
+            assert calls["batched"] == calls["sequential"]
+            if opts is stall:
+                assert [(r.accepted, r.step) for r in fit.trace] == [(False, 0.0)]
+                assert not fit.converged
+            elif opts.max_iters == 3:
+                assert [r.iteration for r in fit.trace] == [1, 2, 3] * 2
+                assert all(r.accepted for r in fit.trace)
 
 
 class TestFitCpt:
@@ -635,6 +756,19 @@ class TestFitCpt:
     def test_empty_query_list_rejected(self):
         with pytest.raises(ValueError):
             fit_cpt(ex41_structure(), [], FitOptions())
+
+    def test_a_clamp_too_wide_for_an_arity_names_the_variable(self, monkeypatch):
+        # 0.4 is a valid clamp for binary rows but not for ternary ones, and
+        # the fit refuses it before compiling anything
+        import querybn.learning as learning
+
+        structure = make_net([("A", "01"), ("T", "012")], [("A", "T")],
+                             {"A": [[0.5, 0.5]], "T": [[0.2, 0.3, 0.5]] * 2})
+        lqs = [LabeledQuery(StatQuery({"T": "1"}, {"A": "1"}), 0.5)]
+        fit_cpt(structure, lqs, FitOptions(eps_clamp=0.3, restarts=1, max_iters=2))
+        monkeypatch.setattr(learning, "_program", None)
+        with pytest.raises(ValueError, match="eps_clamp 0.4 .* of 'T'"):
+            fit_cpt(structure, lqs, FitOptions(eps_clamp=0.4))
 
 
 class TestFitFromEvents:

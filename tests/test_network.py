@@ -202,6 +202,30 @@ class TestRowIndexing:
         assert net.row_index("V", net.decode_row("V", row)) == row
 
 
+class TestWithTables:
+    def test_a_derived_net_shares_the_structure_maps_and_answers_the_same(self):
+        rng = np.random.default_rng(31)
+        net = random_net(rng, n_vars=6, arities=(2, 3), max_parents=2)
+        net.topological_order(), net.signature()
+        tables = {v: rng.dirichlet([1.0] * net.arity(v), size=len(net.cpts[v].table))
+                  for v in net.names[:3]}
+        derived = net.with_tables(tables)
+        for name in ("_var", "_code", "_children", "_topo", "_signature"):
+            assert getattr(derived, name) is getattr(net, name)
+        rebuilt = BayesNet(net.variables, net.dag, derived.cpts)
+        for v in net.names:
+            expected = tables[v] if v in tables else net.cpts[v].table
+            assert np.array_equal(derived.cpts[v].table, expected)
+            assert derived.children(v) == rebuilt.children(v)
+            assert derived.markov_blanket(v) == rebuilt.markov_blanket(v)
+        assert derived.topological_order() == rebuilt.topological_order()
+        for _ in range(10):
+            x, y = rng.choice(net.names, size=2, replace=False)
+            q = ({x: "1"}, {y: "0"})
+            assert cond_prob(derived, *q) == cond_prob(rebuilt, *q)
+            assert cond_prob(net, *q) == cond_prob(net.with_tables({}), *q)
+
+
 class TestClampRow:
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=5),
            st.floats(min_value=1e-9, max_value=0.01))
