@@ -333,7 +333,8 @@ def _evaluate(prog: _Program, tables: Mapping[int, np.ndarray], qs: Sequence[Lab
             if z0 <= 0.0:
                 raise ZeroEvidence(lq.query.evidence)
             B = z[2 * k + 1] / z0
-            err += w * (B - lq.label) ** 2
+            d = B - lq.label
+            err += w * (d * d)
             answers.append((B, z0))
         yield err, (answers, regs, j)
 
