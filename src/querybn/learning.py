@@ -207,18 +207,13 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     """
     if not qs:
         raise ValueError("grad needs at least one labeled query")
-    if weights is None:
-        weights = [1.0 / len(qs)] * len(qs)
-    if len(weights) != len(qs):
-        raise ValueError("weights must match queries")
-    prog = _program(b, qs)
+    prog = _program(b, qs, weights)
     tables = _stack(prog.layout, {v: b.cpts[v].table[None] for v in b.names})
-    _, state = next(_evaluate(prog, tables, qs, weights))
-    # the families of every query whose label is not met, each once, in query order
-    for i in dict.fromkeys(i for lq, (B, _), affected in zip(qs, state[0], prog.affected)
-                           if not _met(B, lq.label) for i in affected):
+    _, state = next(_evaluate(prog, tables))
+    # every family some query whose label is not met can affect, in net order
+    for i in np.flatnonzero(prog.affected[~state[3][0]].any(axis=0)):
         _check_positive(b, b.names[i])
-    return _unstack(prog.layout, _grad_from_state(prog, qs, weights, state))
+    return _unstack(prog.layout, _grad_from_state(prog, state))
 
 
 # variable -> (arity, its rows in that arity's stack)
@@ -254,98 +249,105 @@ def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.
 
 @dataclass(frozen=True)
 class _Program:
-    """A query set as one batch over the evidence-free plan.
-
-    Query ``k`` owns batch rows ``2k`` (its evidence) and ``2k + 1``
-    (its evidence and target).  Evidence enters as 0/1 indicators:
-    ``lam[i]`` holds, for each row, the indicator of variable ``i``'s
+    """A query set as one batch over the evidence-free plan, and the one owner
+    of its ``(Q,)`` ``labels`` and ``weights``, each query's ``evidence`` (for
+    :class:`ZeroEvidence`) and ``affected[k, i]``: whether query ``k`` can
+    affect the CPT at net position ``i`` (:func:`_family_can_affect`, run once
+    per role of target and evidence variables).  Query ``k`` owns batch rows
+    ``2k`` (its evidence) and ``2k + 1`` (its evidence and target).
+    ``lam[i]`` holds, for each row, the 0/1 indicator of variable ``i``'s
     observed value (all ones where the row leaves it free), shaped to
     broadcast against its CPT, or is None when no row observes it.  CPT
-    register ``i`` is the table times ``lam[i]``, so one replay gives
-    ``Z0 = B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[m]`` holds,
-    for the variables of arity ``m`` laid out as in ``layout``, ``lam``
-    times the 0/1 mask of rows whose query can affect the variable's CPT
-    (:func:`_family_can_affect`), shaped ``(rows, CPT rows, m)``, so the
-    summed register adjoints give exact zeros outside affected families.
-    Built from the structure and the queries alone, never from values.
+    register ``i`` is the table times ``lam[i]``, so one replay gives ``Z0 =
+    B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[m]`` holds, for the
+    variables of arity ``m`` laid out as in ``layout``, ``lam`` times the
+    query's ``affected`` bit, shaped ``(rows, CPT rows, m)``, so the summed
+    register adjoints give exact zeros outside affected families.  Built from
+    the structure and the queries, never from values.
     """
 
     plan: _Plan
-    affected: tuple[tuple[int, ...], ...]  # per query, the net positions it can affect
+    labels: np.ndarray
+    weights: np.ndarray
+    evidence: tuple[Mapping[str, str], ...]
+    affected: np.ndarray
     layout: _Layout
     lam: tuple[np.ndarray | None, ...]
     coef: dict[int, np.ndarray]
 
 
-def _program(b: BayesNet, qs: Sequence[LabeledQuery]) -> _Program:
-    rows, affected = [], []
-    for lq in qs:
+def _program(b: BayesNet, qs: Sequence[LabeledQuery],
+             weights: Sequence[float] | None = None) -> _Program:
+    pos, rows = {v: i for i, v in enumerate(b.names)}, 2 * len(qs)
+    weights = np.full(len(qs), 1.0 / len(qs)) if weights is None else np.asarray(weights, float)
+    if weights.shape != (len(qs),):
+        raise ValueError("weights must match queries")
+    # value codes of each query's evidence and evidence-and-target rows, -1 if free
+    codes = np.full((len(qs), 2, len(pos)), -1)
+    roles, affected = {}, []
+    for k, lq in enumerate(qs):
         q = lq.query
-        rows += [q.evidence, {**q.evidence, **q.target}]
-        affected.append(tuple(i for i, v in enumerate(b.names) if _family_can_affect(b, v, q)))
+        for v, val in {**q.evidence, **q.target}.items():
+            codes[k, int(v in q.target):, pos[v]] = b.code(v, val)
+        role = (frozenset(q.target), frozenset(q.evidence))
+        if role not in roles:
+            roles[role] = [_family_can_affect(b, v, q) for v in b.names]
+        affected.append(roles[role])
+    affected = np.array(affected, dtype=bool)
+    codes = codes.reshape(rows, -1)
     plan = _compile(b.signature(), frozenset(), ())
     lam, coef = [], {}
     for i, (v, family) in enumerate(zip(b.names, plan.shapes)):
-        shape = (len(rows),) + (1,) * len(b.parents(v))
-        mask = np.array([i in affected[r // 2] for r in range(len(rows))], dtype=float)
-        mask = mask.reshape(shape + (1,))
-        ind = None
-        if any(v in row for row in rows):
-            # a row that leaves v free matches every value
-            ind = np.array([[float(row.get(v, lab) == lab) for lab in b.domain(v)]
-                            for row in rows]).reshape(shape + (-1,))
-        lam.append(ind)
-        c = mask if ind is None else mask * ind
-        coef[v] = np.broadcast_to(c, (len(rows),) + family).reshape(len(rows), -1, family[-1])
+        shape = (rows,) + (1,) * len(b.parents(v))
+        col = codes[:, i, None]
+        # a row that leaves v free matches every value
+        ind = ((col < 0) | (col == np.arange(family[-1]))).astype(float).reshape(shape + (-1,))
+        lam.append(ind if (col >= 0).any() else None)
+        mask = np.repeat(affected[:, i], 2).reshape(shape + (1,))
+        coef[v] = np.broadcast_to(mask * ind, (rows,) + family).reshape(rows, -1, family[-1])
     layout = _layout(b)
-    return _Program(plan, tuple(affected), layout, tuple(lam), _stack(layout, coef))
+    return _Program(plan, np.array([lq.label for lq in qs]), weights,
+                    tuple(lq.query.evidence for lq in qs), affected, layout, tuple(lam),
+                    _stack(layout, coef))
 
 
-def _evaluate(prog: _Program, tables: Mapping[int, np.ndarray], qs: Sequence[LabeledQuery],
-              weights: Sequence[float]) -> Iterator[tuple[float, tuple]]:
+def _evaluate(prog: _Program, tables: Mapping[int, np.ndarray]) -> Iterator[tuple[float, tuple]]:
     """Score ``k`` candidate CPT sets in one batched replay.
 
     ``tables`` holds one ``(k, rows, m)`` stack per arity ``m``, laid out
     as ``prog.layout``.  Yields, candidate by candidate, the weighted
-    squared error ``sum w (B - p)^2`` of its answers, summed in query
-    order, and the forward state :func:`_grad_from_state` needs: each
-    query's ``(B, Z0)``, the batched registers and the candidate's index.
-    The first query, in query order, whose evidence has zero probability
-    raises :class:`ZeroEvidence` when its candidate is reached, so a
-    candidate never asked for never raises.
+    squared error ``sum w (B - p)^2``, summed in query order
+    (``np.add.accumulate``), and the forward state
+    :func:`_grad_from_state` needs: the ``(k, Q)`` arrays ``B = Z1 / Z0``,
+    ``B - p``, ``Z0`` and the labels met (within ``TIE_RTOL`` relative),
+    the batched registers and the candidate's index.  The first query, in
+    query order, whose evidence has zero probability raises
+    :class:`ZeroEvidence` when its candidate is reached, so a candidate
+    never asked for never raises, and is not scored.
 
     A register carries the candidate axis and the query-row axis; a
     variable no row observes keeps size 1 on the row axis and is not
     multiplied by anything, which gives each candidate the bits of its own
-    unbatched replay.  ``B = Z1 / Z0`` may differ from :func:`answer`'s by
-    rounding.
+    unbatched replay.  ``B`` may differ from :func:`answer`'s by rounding.
     """
     regs = []
     for (m, rows), shape, lam in zip(prog.layout.values(), prog.plan.shapes, prog.lam):
         t = tables[m][:, rows].reshape((-1, 1) + shape)
         regs.append(t if lam is None else t * lam)
     regs = _replay(prog.plan, regs)
-    for j, z in enumerate(regs[-1].tolist()):
-        err = 0.0
-        answers = []
-        for k, (lq, w) in enumerate(zip(qs, weights)):
-            z0 = z[2 * k]
-            if z0 <= 0.0:
-                raise ZeroEvidence(lq.query.evidence)
-            B = z[2 * k + 1] / z0
-            d = B - lq.label
-            err += w * (d * d)
-            answers.append((B, z0))
-        yield err, (answers, regs, j)
+    z0, z1 = regs[-1][:, 0::2], regs[-1][:, 1::2]
+    reached = int((z0 <= 0.0).any(axis=1).argmax()) if z0.min() <= 0.0 else len(z0)
+    B = z1[:reached] / z0[:reached]
+    d = B - prog.labels
+    err = np.add.accumulate(prog.weights * (d * d), axis=1)[:, -1].tolist()
+    met = np.abs(d) <= TIE_RTOL * B
+    for j in range(reached):
+        yield err[j], (B, d, z0, met, regs, j)
+    if reached < len(regs[-1]):
+        raise ZeroEvidence(prog.evidence[int((regs[-1][reached, 0::2] <= 0.0).argmax())])
 
 
-def _met(B: float, label: float) -> bool:
-    """Whether a replay's answer ``B`` meets ``label`` (``TIE_RTOL``)."""
-    return abs(B - label) <= TIE_RTOL * B
-
-
-def _grad_from_state(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequence[float],
-                     state: tuple) -> dict[int, np.ndarray]:
+def _grad_from_state(prog: _Program, state: tuple) -> dict[int, np.ndarray]:
     """:func:`grad` as one ``(rows, m)`` stack per arity, laid out as
     ``prog.layout``, from the state :func:`_evaluate` yielded for one
     candidate: one batched reverse sweep over its registers and no replay.
@@ -355,20 +357,18 @@ def _grad_from_state(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequen
     evidence row and ``c`` on its evidence-and-target row.  The register
     adjoints are copied into one ``(query rows, rows, m)`` buffer per
     arity, multiplied once by ``prog.coef`` and summed over the query
-    rows.  A query whose label is met (:func:`_met`) seeds nothing, so a
+    rows.  A query whose label is met (``TIE_RTOL``) seeds ``+0.0``, so a
     label that equals the answer gets exact zeros although the replay's
     ``B`` may differ from :func:`answer`'s by rounding.  Checks no entry
     for zero; :func:`grad` does that.
     """
-    answers, regs, j = state
+    B, d, z0, met, regs, j = state
     regs = [r[j] for r in regs]
-    seed = np.zeros(regs[-1].shape)
-    for k, (lq, w, (B, z0)) in enumerate(zip(qs, weights, answers)):
-        if _met(B, lq.label):
-            continue
-        c = 2.0 * w * (B - lq.label) / z0
-        seed[2 * k] = -c * B
-        seed[2 * k + 1] = c
+    c = 2.0 * prog.weights * d[j] / z0[j]
+    seed = np.empty(regs[-1].shape)
+    seed[0::2] = -c * B[j]
+    seed[1::2] = c
+    seed.reshape(-1, 2)[met[j]] = 0.0
     if not seed.any():
         return {m: np.zeros(c.shape[1:]) for m, c in prog.coef.items()}
     adj = _reverse(prog.plan, regs, seed)
@@ -525,9 +525,9 @@ def _pick(stacks: Mapping[int, np.ndarray], j: int) -> dict[int, np.ndarray]:
     return {m: s[j] for m, s in stacks.items()}
 
 
-def _line_search(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequence[float],
-                 scores: Mapping[int, np.ndarray], g_scores: Mapping[int, np.ndarray],
-                 err: float, step: float, eps: float) -> tuple | None:
+def _line_search(prog: _Program, scores: Mapping[int, np.ndarray],
+                 g_scores: Mapping[int, np.ndarray], err: float, step: float,
+                 eps: float) -> tuple | None:
     """The first of the steps ``step``, ``step/2``, ... (``MAX_HALVINGS``
     halvings) whose error is below ``err``, as ``(t, scores, tables, err,
     state)``, or None when every step fails.
@@ -545,7 +545,7 @@ def _line_search(prog: _Program, qs: Sequence[LabeledQuery], weights: Sequence[f
         cand = {m: np.clip(s - batch * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
                 for m, s in scores.items()}
         tables = _materialize(cand, eps)
-        for j, (cand_err, state) in enumerate(_evaluate(prog, tables, qs, weights)):
+        for j, (cand_err, state) in enumerate(_evaluate(prog, tables)):
             if cand_err < err:
                 return ts[lo + j], _pick(cand, j), _pick(tables, j), cand_err, state
     return None
@@ -576,7 +576,6 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
         raise ValueError("fit_cpt needs at least one labeled query")
     opts.check_arities(structure)
     rng = np.random.default_rng(opts.seed)
-    weights = [1.0 / len(qs)] * len(qs)
     prog = _program(structure, qs)
     layout = prog.layout
     trace: list[TraceRow] = []
@@ -589,20 +588,18 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
         scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
             layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
         tables = _materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
-        err, state = next(_evaluate(prog, tables, qs, weights))
+        err, state = next(_evaluate(prog, tables))
         tables = _pick(tables, 0)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_scores = _chain_to_scores(scores, _grad_from_state(prog, qs, weights, state),
-                                        opts.eps_clamp)
+            g_scores = _chain_to_scores(scores, _grad_from_state(prog, state), opts.eps_clamp)
             gnorm = _grad_norm(_unstack(layout, g_scores))
             if gnorm < opts.tol:
                 trace.append(TraceRow(restart, it, err, gnorm, 0.0, False))
                 converged = True
                 break
-            found = _line_search(prog, qs, weights, scores, g_scores, err, step,
-                                 opts.eps_clamp)
+            found = _line_search(prog, scores, g_scores, err, step, opts.eps_clamp)
             trace.append(TraceRow(restart, it, err, gnorm, 0.0 if found is None else found[0],
                                   found is not None))
             if found is None:

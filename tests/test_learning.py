@@ -518,14 +518,13 @@ def _sequential_fit(structure, qs, opts, on_step=None):
     import querybn.learning as L
 
     rng = np.random.default_rng(opts.seed)
-    weights = [1.0 / len(qs)] * len(qs)
     prog = L._program(structure, qs)
     layout = prog.layout
     trace, best = [], None
 
     def trial(scores):
         tables = L._materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
-        err, state = next(L._evaluate(prog, tables, qs, weights))
+        err, state = next(L._evaluate(prog, tables))
         return L._pick(tables, 0), err, state
 
     def net_of(tables):
@@ -538,7 +537,7 @@ def _sequential_fit(structure, qs, opts, on_step=None):
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_scores = _chain_to_scores(scores, L._grad_from_state(prog, qs, weights, state),
+            g_scores = _chain_to_scores(scores, L._grad_from_state(prog, state),
                                         opts.eps_clamp)
             gnorm = L._grad_norm(_unstack(layout, g_scores))
             if gnorm < opts.tol:
