@@ -11,10 +11,9 @@ from .network import (Assignment, BayesNet, Cpt, CycleError, Dag, EntryId,
                       InvalidNetError, Variable, clamp_net, clamp_row, d_separated,
                       load_net, net_to_dict, relevant_entries, requisite_cpd_vars,
                       save_net, validate)
-from .inference import (EnumerationCapExceeded, Factor, ZeroEvidence, answer,
-                        cond_prob, enumerate_joint, enumerate_marginal,
-                        family_posterior, is_markov_blanket_query, marginal,
-                        mb_posterior, mb_query)
+from .inference import (EnumerationCapExceeded, ZeroEvidence, answer, cond_prob,
+                        enumerate_joint, enumerate_marginal, family_posterior,
+                        is_markov_blanket_query, marginal, mb_posterior, mb_query)
 from .queries import (LabeledQuery, QueryDistribution, QueryPattern, StatQuery,
                       expand_pattern, label_queries, load_queries, parse_queries,
                       sample_query, save_queries)

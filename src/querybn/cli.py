@@ -89,9 +89,9 @@ def cmd_eval(args) -> int:
             report = true_err(net, dist, truth)
         elif args.data:
             data = _load_or_fail("data", args.data, lambda p: load_dataset(p, net))
-            report = empirical_err_from_events(net, dist.queries(), data)
+            report = empirical_err_from_events(net, dist.queries(), data, dist.weights())
         elif dist.fully_labeled():
-            report = empirical_err(net, dist.labeled())
+            report = empirical_err(net, dist.labeled(), dist.weights())
         else:
             raise _CliError(
                 "eval needs --truth, --data, or labels on every query atom", USAGE_ERROR)
@@ -150,7 +150,8 @@ def cmd_learn(args) -> int:
                 USAGE_ERROR)
     except ValueError as exc:  # ZeroEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
-    result = fit_cpt(structure, labeled, opts, init_net=structure)
+    weights = dist.weights()
+    result = fit_cpt(structure, labeled, opts, weights=weights, init_net=structure)
     violations = validate(result.net)
     if violations:  # fitted nets are clamped by construction; this is a safety net
         raise _CliError("fitted net failed validation: " + "; ".join(violations), DOMAIN_ERROR)
@@ -158,7 +159,7 @@ def cmd_learn(args) -> int:
     result.write_trace_csv(os.path.join(outdir, "trace.csv"))
     # the fitter's own error may differ from empirical_err by rounding;
     # print the value that eval of the written net reports
-    err = empirical_err(result.net, labeled).aggregate
+    err = empirical_err(result.net, labeled, weights).aggregate
     print(f"final empirical err: {err!r} (restart {result.restart})")
     print(f"wrote {os.path.join(outdir, 'net.json')} and trace.csv")
     return 0

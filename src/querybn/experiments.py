@@ -373,7 +373,7 @@ def run_comparison(truth: BayesNet, structure: BayesNet, dist: QueryDistribution
                     "err": true_err(ofe_net, dist, truth).aggregate})
         labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
                    for q, _ in dist.atoms]
-        fitted = fit_cpt(structure, labeled, opts)
+        fitted = fit_cpt(structure, labeled, opts, weights=dist.weights())
         out.append({"method": "qfit", "size": size,
                     "err": true_err(fitted.net, dist, truth).aggregate})
     return out

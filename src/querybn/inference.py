@@ -64,10 +64,6 @@ class EnumerationCapExceeded(RuntimeError):
     """The net's joint state space exceeds the enumeration oracle's cap."""
 
 
-# Intermediate of variable elimination: a table with one axis per scope variable.
-Factor = tuple[tuple[str, ...], np.ndarray]
-
-
 def _consistent(a: Assignment, b: Assignment) -> bool:
     """True when the assignments agree wherever they bind the same variable."""
     return all(b[k] == v for k, v in a.items() if k in b)

@@ -2,8 +2,8 @@
 
 Two fitters are provided.  ``ofe`` fills each CPT row with (optionally
 Laplace-smoothed) observed frequencies from complete tuples, ignoring the
-query distribution.  ``fit_cpt`` minimizes the empirical squared-error
-score over a set of labeled queries by analytic gradient descent.
+query distribution.  ``fit_cpt`` minimizes the query-weighted squared
+error over a set of labeled queries by analytic gradient descent.
 
 The per-entry derivative of an answered conditional is
 
@@ -14,11 +14,12 @@ times that.  It vanishes exactly when the answer is already correct, and
 when the evidence d-separates the entry's family from the target (those
 entries get exact zeros).  ``grad`` takes every labeled query of a set,
 blanket queries included, from one batched replay of the evidence-free
-plan (a ``_Program``, built from the structure and the queries):
-evidence enters as 0/1 indicator factors, query ``k`` owns one batch row
-for its evidence and one for its evidence and target, and the replay
-gives ``Z0 = B(y)``, ``Z1 = B(x, y)`` and ``B(x|y) = Z1 / Z0`` for all of
-them at once.  One batched reverse sweep seeded with ``c = 2w(B - p) / Z0``
+plan (a ``_Program``, built from the structure and the queries, which
+owns their labels and weights as arrays, ``1/Q`` each by default):
+evidence enters as 0/1 indicators, query ``k`` owns one batch row for
+its evidence and one for its evidence and target, and the replay gives
+``Z0 = B(y)``, ``Z1 = B(x, y)`` and ``B(x|y) = Z1 / Z0`` for all of them
+at once.  One batched reverse sweep seeded with ``c = 2w(B - p) / Z0``
 on the second row and ``-cB`` on the first then gives the form above
 multiplied out, so no entry is divided by; a 0/1 mask of the rows whose
 query can affect a family keeps its exact zeros.  A label within
@@ -193,8 +194,8 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
          ) -> dict[str, np.ndarray]:
     """Weighted sum of per-query error derivatives for every CPT entry.
 
-    Returns one array per variable, shaped like its CPT.  With the default
-    weights ``1/len(qs)`` this is the gradient of :func:`scoring.empirical_err`.
+    Returns one array per variable, shaped like its CPT: the gradient of
+    :func:`scoring.empirical_err` with the same weights (``1/len(qs)`` each by default).
     Every query, blanket queries included, shares one :class:`_Program`:
     one batched replay of the evidence-free plan answers them all and one
     batched reverse sweep yields every CPT's derivative, dividing by no
@@ -294,12 +295,11 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
             roles[role] = [_family_can_affect(b, v, q) for v in b.names]
         affected.append(roles[role])
     affected = np.array(affected, dtype=bool)
-    codes = codes.reshape(rows, -1)
     plan = _compile(b.signature(), frozenset(), ())
     lam, coef = [], {}
     for i, (v, family) in enumerate(zip(b.names, plan.shapes)):
         shape = (rows,) + (1,) * len(b.parents(v))
-        col = codes[:, i, None]
+        col = codes[:, :, i].reshape(rows, 1)
         # a row that leaves v free matches every value
         ind = ((col < 0) | (col == np.arange(family[-1]))).astype(float).reshape(shape + (-1,))
         lam.append(ind if (col >= 0).any() else None)
@@ -552,7 +552,7 @@ def _line_search(prog: _Program, scores: Mapping[int, np.ndarray],
 
 
 def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = FitOptions(),
-            *, init_net: BayesNet | None = None,
+            *, weights: Sequence[float] | None = None, init_net: BayesNet | None = None,
             on_step: Callable[[BayesNet, int, float], None] | None = None) -> FitResult:
     """Fit CPTs to labeled queries by clamped gradient descent with restarts.
 
@@ -571,12 +571,13 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     halving one step at a time.  Each gradient is one batched sweep over
     the accepted candidate's registers and comes back as one stack per
     arity.  A net is built only for ``on_step`` and for the returned fit.
+    ``weights``, one per query and ``1/len(qs)`` each by default, weight the errors.
     """
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
     opts.check_arities(structure)
     rng = np.random.default_rng(opts.seed)
-    prog = _program(structure, qs)
+    prog = _program(structure, qs, weights)
     layout = prog.layout
     trace: list[TraceRow] = []
     best: tuple[float, int, dict[int, np.ndarray], bool] | None = None

@@ -145,16 +145,27 @@ def true_err(b: BayesNet, dist: QueryDistribution, truth: BayesNet) -> ErrReport
     return _score_rows(b, refs, "true")
 
 
-def empirical_err(b: BayesNet, qs: Sequence[LabeledQuery]) -> ErrReport:
-    """Unweighted mean squared deviation of the net's answers from labels."""
+def _query_weights(n: int, weights: Sequence[float] | None) -> list[float]:
+    """``weights`` as floats, ``1/n`` each when None."""
+    if weights is None:
+        return [1.0 / n] * n
+    if len(weights) != n:
+        raise ValueError("weights must match queries")
+    return [float(w) for w in weights]
+
+
+def empirical_err(b: BayesNet, qs: Sequence[LabeledQuery],
+                  weights: Sequence[float] | None = None) -> ErrReport:
+    """Weighted squared deviation of the net's answers from labels; the
+    weights default to ``1/len(qs)`` each, the unweighted mean."""
     if not qs:
         raise ValueError("empirical_err needs at least one labeled query")
-    w = 1.0 / len(qs)
-    refs = [(lq.query, w, lq.label) for lq in qs]
+    refs = [(lq.query, w, lq.label) for lq, w in zip(qs, _query_weights(len(qs), weights))]
     return _score_rows(b, refs, "labeled")
 
 
-def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Dataset) -> ErrReport:
+def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Dataset,
+                              weights: Sequence[float] | None = None) -> ErrReport:
     """Like :func:`empirical_err`, with labels replaced by conditional
     frequencies observed in ``data``.
 
@@ -166,8 +177,8 @@ def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Datase
     unmatched = [q.id() for q in qs if q.evidence and not data.match_mask(q.evidence).any()]
     if unmatched:
         raise UnmatchedEvidence(unmatched)
-    w = 1.0 / len(qs)
-    refs = [(q, w, cond_freq(data, q.target, q.evidence)) for q in qs]
+    refs = [(q, w, cond_freq(data, q.target, q.evidence))
+            for q, w in zip(qs, _query_weights(len(qs), weights))]
     return _score_rows(b, refs, "unlabeled+events")
 
 

@@ -172,6 +172,9 @@ class TestLearnCommand:
         rows = list(csv.reader((out / "trace.csv").open()))
         assert rows[0][:3] == ["restart", "iteration", "err"]
         assert len(rows) > 1
+        for row in rows[1:]:  # plain numbers, never a numpy scalar's repr
+            for field in row:
+                float(field)
 
     def test_qfit_prints_the_written_nets_empirical_err(self, ex41_files, tmp_path, capsys):
         # labels from sampled tuples, so the fitted error is not zero
@@ -206,6 +209,27 @@ class TestLearnCommand:
                          "--out", str(out)]) == 0
             written.append([(out / name).read_bytes() for name in ("net.json", "trace.csv")])
         assert written[0] == written[1]
+
+    def test_qfit_fits_and_prints_the_query_weighted_error(self, tmp_path, capsys):
+        # two independent binary variables: the answer to either query is
+        # P(B=1), so the fit lands on the weighted mean label 0.9*0.9 + 0.1*0.1
+        from querybn import BayesNet, Dag, Variable
+
+        net = BayesNet.uniform([Variable("A", ("0", "1")), Variable("B", ("0", "1"))],
+                               Dag.from_edges(["A", "B"], []))
+        npath, qpath, out = tmp_path / "net.json", tmp_path / "q.json", tmp_path / "out"
+        save_net(net, npath)
+        save_queries(qpath, [(StatQuery({"B": "1"}, {"A": "0"}), 0.9, 0.9),
+                             (StatQuery({"B": "1"}, {"A": "1"}), 0.1, 0.1)])
+        assert main(["learn", "--mode", "qfit", "--net", str(npath), "--queries", str(qpath),
+                     "--out", str(out)]) == 0
+        assert load_net(out / "net.json").cpts["B"].table[0, 1] == pytest.approx(0.82, abs=1e-6)
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("final empirical err: "))
+        assert main(["eval", "--net", str(out / "net.json"), "--queries", str(qpath),
+                     "--out", str(tmp_path / "eval")]) == 0
+        aggregate = json.loads((tmp_path / "eval" / "report.json").read_text())["aggregate"]
+        assert float(line.split()[3]) == aggregate == pytest.approx(0.0576, abs=1e-9)
 
     def test_qfit_without_queries_exits_two(self, ex41_files):
         assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),

@@ -510,6 +510,28 @@ class TestGradWorkCount:
         info = _compile.cache_info()
         assert info.misses == info.currsize == 1
 
+    def test_a_program_tests_each_role_once_for_what_it_can_affect(self, monkeypatch):
+        # ex4.2's pattern p(C | A1..A10) grounds to 2,048 queries of one role
+        # (target variables, evidence variables): one affect test per variable
+        import querybn.learning as learning
+        from querybn.experiments import ex42_truth
+        from querybn.queries import QueryPattern, expand_pattern
+
+        net = clamp_net(ex42_truth(10), 1e-3)
+        pattern = QueryPattern(("C",), tuple(f"A{i}" for i in range(1, 11)))
+        lqs = [LabeledQuery(q, 0.5) for q, _ in expand_pattern(net, pattern, 1.0)]
+        calls = {"n": 0}
+        real = learning._family_can_affect
+
+        def counting(b, v, q):
+            calls["n"] += 1
+            return real(b, v, q)
+
+        monkeypatch.setattr(learning, "_family_can_affect", counting)
+        prog = learning._program(net, lqs)
+        assert len(lqs) == 2048 and calls["n"] == len(net.names) == 11
+        assert prog.affected.shape == (2048, 11) and prog.affected.all()
+
 
 def _sequential_fit(structure, qs, opts, on_step=None):
     """:func:`fit_cpt` as it ran before line-search rounds were batched: one
@@ -755,6 +777,17 @@ class TestFitCpt:
     def test_empty_query_list_rejected(self):
         with pytest.raises(ValueError):
             fit_cpt(ex41_structure(), [], FitOptions())
+
+    def test_explicit_uniform_weights_give_the_default_fit_bit_for_bit(self):
+        rng = np.random.default_rng(66)
+        structure = random_net(rng, n_vars=6, arities=(2, 3), max_parents=2)
+        lqs = _general_queries(rng, structure, 3) + _blanket_queries(rng, structure, 3)
+        opts = FitOptions(restarts=2, max_iters=40, seed=3)
+        uniform = [1.0 / len(lqs)] * len(lqs)
+        assert (_fit_bytes(fit_cpt(structure, lqs, opts, weights=uniform))
+                == _fit_bytes(fit_cpt(structure, lqs, opts)))
+        with pytest.raises(ValueError, match="weights must match queries"):
+            fit_cpt(structure, lqs, opts, weights=uniform[1:])
 
     def test_a_clamp_too_wide_for_an_arity_names_the_variable(self, monkeypatch):
         # 0.4 is a valid clamp for binary rows but not for ternary ones, and

@@ -93,6 +93,22 @@ class TestEmpiricalErr:
         with pytest.raises(ValueError):
             empirical_err(ex41_bp(), [])
 
+    def test_weights_weight_each_row_and_must_match_the_queries(self):
+        # B_p answers 0.5 to both queries: squared errors 0.25 and 0
+        bp = ex41_bp()
+        dist = QueryDistribution([(StatQuery({"C": "1"}, {"A": "1"}), 0.9, 1.0),
+                                  (StatQuery({"C": "1"}, {"A": "0"}), 0.1, 0.5)])
+        report = empirical_err(bp, dist.labeled(), dist.weights())
+        assert [r.weight for r in report.rows] == [0.9, 0.1]
+        assert report.aggregate == pytest.approx(0.225, abs=1e-15)
+        assert empirical_err(bp, dist.labeled()).aggregate == pytest.approx(0.125, abs=1e-15)
+        data = forward_sample(ex41_truth(), 500, seed=3)
+        events = empirical_err_from_events(bp, dist.queries(), data, dist.weights())
+        assert [r.weight for r in events.rows] == [0.9, 0.1]
+        assert events.aggregate == sum(r.weight * r.sq_error for r in events.rows)
+        with pytest.raises(ValueError, match="weights must match queries"):
+            empirical_err(bp, dist.labeled(), [1.0])
+
     def test_hypothesis_side_zero_evidence_is_noted_not_fatal(self):
         # unclamped hypothesis that assigns zero mass to one query's evidence;
         # the query must not take the blanket path, which conditions locally
