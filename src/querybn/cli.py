@@ -71,7 +71,10 @@ def cmd_validate(args) -> int:
     net = _load_or_fail("net", args.net,
                         lambda p: BayesNet.from_dict(json.loads(Path(p).read_text())),
                         malformed="cannot parse net file")
-    violations = validate(net, eps_clamp=args.clamped)
+    try:
+        violations = validate(net, eps_clamp=args.clamped)
+    except ValueError as exc:
+        raise _CliError(f"invalid --clamped: {exc}", USAGE_ERROR)
     for v in violations:
         print(v)
     if violations:
@@ -125,7 +128,10 @@ def cmd_learn(args) -> int:
         if not args.data:
             raise _CliError("learn --mode ofe requires --data", USAGE_ERROR)
         data = _load_or_fail("data", args.data, lambda p: load_dataset(p, structure))
-        fitted = ofe(structure, data, alpha=args.alpha)
+        try:
+            fitted = ofe(structure, data, alpha=args.alpha)
+        except ValueError as exc:
+            raise _CliError(f"invalid --alpha: {exc}", USAGE_ERROR)
         save_net(fitted, os.path.join(outdir, "net.json"))
         print(f"wrote {os.path.join(outdir, 'net.json')}")
         return 0

@@ -4,18 +4,20 @@ Markov-blanket fast path.
 ``marginal`` answers B(assignment) by variable elimination under a greedy
 min-degree ordering, each step one pairwise ``np.einsum`` contraction of
 the factors that touch the eliminated variable.  The order and every
-step's subscripts depend only on the structure, on which variables are
-observed and on which are kept, so they are compiled once into a plan
-and cached by those values (at most ``PLAN_CACHE_SIZE`` plans); a call
-only slices the CPTs by the evidence codes and replays the steps
-(``_replay``).  Every subscript list starts with an ellipsis, so one
-replay can also carry a leading batch axis on some registers, which the
-others broadcast against: the gradient fitter answers a whole query set
-in one replay of the evidence-free plan, with evidence entering as 0/1
-indicator factors.  One reverse sweep over a replay, seeded with the
-derivative of some scalar with respect to the kept table, gives that
-scalar's derivative with respect to every CPT register (Darwiche's
-differential approach).  ``enumerate_marginal`` is the brute-force
+step's subscripts depend only on the structure and on which variables are
+observed, so they are compiled once into a plan and cached by those two
+values (at most ``PLAN_CACHE_SIZE`` plans); every plan sums out each
+unobserved variable, down to the scalar B(evidence).  A call only slices
+the CPTs by the evidence codes and replays the steps (``_replay``).
+Every subscript list starts with an ellipsis, so one replay can also
+carry a leading batch axis on some registers, which the others broadcast
+against: the gradient fitter answers a whole query set in one replay of
+the evidence-free plan, with evidence entering as 0/1 indicator factors.
+One reverse sweep over a replay, seeded with the derivative of some
+scalar with respect to Z = B(evidence), gives that scalar's derivative
+with respect to every CPT entry e (Darwiche's differential approach);
+seeded with 1 it gives dZ/de, and e * dZ/de / Z is the posterior of e's
+family configuration.  ``enumerate_marginal`` is the brute-force
 cross-check, capped because the general problem is intractable.
 
 ``cond_prob`` forms the ratio B(x, y) / B(y) explicitly, so its value
@@ -98,12 +100,13 @@ _Step = tuple[int, _Sub, int | None, _Sub | None, _Sub, tuple | None]
 
 @dataclass(frozen=True)
 class _Plan:
-    """Variable elimination compiled for one structure, one set of observed
-    variables and one kept tuple; it never looks at table values.
+    """Variable elimination compiled for one structure and one set of
+    observed variables; it never looks at table values.
 
     Registers ``0 .. n-1`` hold the variables' CPTs (net order), each
     reshaped to its family and sliced by the evidence codes; step ``k``
-    writes register ``n + k`` and the last step's register is the result.
+    writes register ``n + k`` and the last step's register is the scalar
+    B(evidence), every unobserved variable summed out.
     A step ``(a, sa, b, sb, out, back)`` is ``einsum(reg[a], sa, reg[b],
     sb, out)``, a pairwise product onto the union of both scopes, or, when
     ``b`` is None, ``einsum(reg[a], sa, out)``, a sum or a transpose whose
@@ -119,8 +122,9 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) -> _Plan:
-    """The plan that sums every variable outside ``observed`` and ``keep``.
+def _compile(signature: tuple, observed: frozenset[str]) -> _Plan:
+    """The plan that sums every variable outside ``observed``, down to the
+    scalar B(evidence).
 
     The steps are the pairwise einsum calls, subscripts included, that
     eliminating the variables in min-degree order makes, so replaying them
@@ -157,21 +161,20 @@ def _compile(signature: tuple, observed: frozenset[str], keep: tuple[str, ...]) 
 
     factors = [(tuple(s for s in fam if s not in observed), i) for i, fam in enumerate(families)]
     rank = {v: i for i, (v, _, _) in enumerate(signature)}
-    elim = {v for v in rank if v not in observed and v not in keep}
+    elim = {v for v in rank if v not in observed}
     for v in _min_degree_order([sc for sc, _ in factors], elim, rank):
         touching = [f for f in factors if v in f[0]]
         scope = tuple(u for u in dict.fromkeys(u for sc, _ in touching for u in sc) if u != v)
         factors = [f for f in factors if v not in f[0]] + [(scope, contract(touching, scope))]
-    contract(factors, keep)
+    contract(factors, ())
     shapes = tuple(tuple(arity[f] for f in fam) for fam in families)
     return _Plan(families, shapes, tuple(steps))
 
 
-def _forward(net: BayesNet, evidence: Assignment, keep: tuple[str, ...],
-             ) -> tuple[_Plan, list[tuple], list[np.ndarray]]:
+def _forward(net: BayesNet, evidence: Assignment) -> tuple[_Plan, list[tuple], list[np.ndarray]]:
     """Replay the cached plan: (plan, each CPT's evidence index, registers)."""
     codes = {k: net.code(k, v) for k, v in evidence.items()}
-    plan = _compile(net.signature(), frozenset(codes), keep)
+    plan = _compile(net.signature(), frozenset(codes))
     index = [tuple(codes.get(f, slice(None)) for f in fam) for fam in plan.families]
     regs = [net.cpts[v].table.reshape(shape)[ix]
             for v, shape, ix in zip(net.names, plan.shapes, index)]
@@ -180,7 +183,8 @@ def _forward(net: BayesNet, evidence: Assignment, keep: tuple[str, ...],
 
 def _replay(plan: _Plan, regs: list[np.ndarray]) -> list[np.ndarray]:
     """Append every step's register to ``regs``, the CPT registers in net
-    order, and return it; the last register is the kept table.
+    order, and return it; the last register is B(evidence), a scalar per
+    batch element.
 
     A register may carry leading batch axes; the others broadcast against
     it, so a batch of stacked registers gives each element the bits of its
@@ -192,21 +196,12 @@ def _replay(plan: _Plan, regs: list[np.ndarray]) -> list[np.ndarray]:
     return regs
 
 
-def _eliminate(net: BayesNet, evidence: Assignment, keep: tuple[str, ...]) -> np.ndarray:
-    """Sum out every variable outside ``evidence`` and ``keep`` (disjoint).
-
-    The returned table has one axis per variable of ``keep``, in ``keep``'s
-    order, and sums to the unnormalized mass of the evidence.
-    """
-    return _forward(net, evidence, keep)[2][-1]
-
-
 def _reverse(plan: _Plan, regs: list[np.ndarray], seed: np.ndarray) -> list[np.ndarray]:
     """One reverse sweep over a :func:`_replay`: the adjoint of each CPT
     register, in net order.
 
-    ``seed`` is the derivative of some scalar with respect to the kept
-    table ``regs[-1]`` and has its shape, batch axes included.  The adjoint
+    ``seed`` is the derivative of some scalar with respect to B(evidence),
+    ``regs[-1]``, and has its shape, batch axes included.  The adjoint
     of a pairwise product is the two einsums with the output and one
     operand's subscripts swapped; the adjoint of a sum broadcasts back over
     the summed axes, so an adjoint may have size 1 there.  A register
@@ -230,14 +225,14 @@ def _reverse(plan: _Plan, regs: list[np.ndarray], seed: np.ndarray) -> list[np.n
 def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
                     ) -> tuple[float, dict[str, np.ndarray]]:
     """``Z = B(evidence)`` and ``dZ/de`` for every entry of each ``wrt``
-    variable's CPT, shaped like that CPT: one forward replay of the
-    ``keep = ()`` plan and one :func:`_reverse` sweep seeded with 1, whose
-    register adjoints are scattered into the evidence index.  Entries that
-    contradict the evidence get 0.
-
-    ``Z`` is the same float :func:`marginal` returns.
+    variable's CPT, shaped like that CPT: one forward replay, whose last
+    register is the scalar Z, and one :func:`_reverse` sweep seeded with
+    1, whose register adjoints are scattered into the evidence index.
+    Entries that contradict the evidence get 0.  This is the engine's one
+    unbatched forward-plus-reverse entry.  ``Z`` is the same float
+    :func:`marginal` returns, and ``e * dZ/de / Z`` is a family posterior.
     """
-    plan, index, regs = _forward(net, evidence, ())
+    plan, index, regs = _forward(net, evidence)
     adj = _reverse(plan, regs, np.ones(()))
     grads = {}
     for ix, fam, shape, d in zip(index, plan.families, plan.shapes, adj):
@@ -250,7 +245,7 @@ def _value_and_grad(net: BayesNet, evidence: Assignment, wrt: tuple[str, ...],
 
 def marginal(net: BayesNet, a: Assignment) -> float:
     """B(a) for a partial assignment, by variable elimination."""
-    return float(_eliminate(net, a, ()))
+    return float(_forward(net, a)[2][-1])
 
 
 def enumerate_marginal(net: BayesNet, a: Assignment, *, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -299,19 +294,17 @@ def cond_prob(net: BayesNet, x: Assignment, y: Assignment) -> float:
 
 
 def family_posterior(net: BayesNet, v: str, evidence: Assignment) -> np.ndarray:
-    """P(parents(v) = r, v = q | evidence) for every row r and value q.
-
-    Returns an array shaped like v's CPT.  Configurations that contradict
-    the evidence get probability 0.
+    """P(parents(v) = r, v = q | evidence) for every row r and value q,
+    shaped like v's CPT: ``e[q|r] * dZ/de[q|r] / Z`` for Z = B(evidence)
+    (:func:`_value_and_grad`).  Each term of Z holds exactly one entry of
+    v's CPT, so e * dZ/de is the mass of e's configuration; configurations
+    that contradict the evidence get 0.
     """
-    fam = net.parents(v) + (v,)
-    table = _eliminate(net, evidence, tuple(f for f in fam if f not in evidence))
-    total = float(table.sum())
-    if total <= 0.0:
+    net.var(v)  # an unknown name raises KeyError("unknown variable ...")
+    z, dz = _value_and_grad(net, evidence, (v,))
+    if z <= 0.0:
         raise ZeroEvidence(evidence)
-    out = np.zeros([net.arity(f) for f in fam])
-    out[tuple(net.code(f, evidence[f]) if f in evidence else slice(None) for f in fam)] = table
-    return out.reshape(net.cpts[v].table.shape) / total
+    return net.cpts[v].table * dz[v] / z
 
 
 def is_markov_blanket_query(net: BayesNet, q) -> bool:

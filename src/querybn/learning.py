@@ -65,7 +65,7 @@ from . import bounds
 from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_prob,
                         family_posterior, is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, clamp_row, d_separated
-from .queries import LabeledQuery, StatQuery
+from .queries import LabeledQuery, StatQuery, _query_weights
 from .sampling import Dataset, collect_until_matched, cond_freq
 
 DIRICHLET_ALPHA = 1.0
@@ -89,8 +89,8 @@ def ofe(structure: BayesNet, data: Dataset, alpha: float = 0.0) -> BayesNet:
     uniform row.  Only the structure (variables + dag) of ``structure`` is
     used; its CPT values are ignored.
     """
-    if alpha < 0:
-        raise ValueError("smoothing must be non-negative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"smoothing must be finite and non-negative, got {alpha}")
     cols = {v: data.column(v) for v in structure.names}
     tables: dict[str, np.ndarray] = {}
     for v in structure.names:
@@ -280,9 +280,7 @@ class _Program:
 def _program(b: BayesNet, qs: Sequence[LabeledQuery],
              weights: Sequence[float] | None = None) -> _Program:
     pos, rows = {v: i for i, v in enumerate(b.names)}, 2 * len(qs)
-    weights = np.full(len(qs), 1.0 / len(qs)) if weights is None else np.asarray(weights, float)
-    if weights.shape != (len(qs),):
-        raise ValueError("weights must match queries")
+    weights = np.array(_query_weights(len(qs), weights))
     # value codes of each query's evidence and evidence-and-target rows, -1 if free
     codes = np.full((len(qs), 2, len(pos)), -1)
     roles, affected = {}, []
@@ -295,7 +293,7 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
             roles[role] = [_family_can_affect(b, v, q) for v in b.names]
         affected.append(roles[role])
     affected = np.array(affected, dtype=bool)
-    plan = _compile(b.signature(), frozenset(), ())
+    plan = _compile(b.signature(), frozenset())
     lam, coef = [], {}
     for i, (v, family) in enumerate(zip(b.names, plan.shapes)):
         shape = (rows,) + (1,) * len(b.parents(v))
@@ -420,7 +418,7 @@ class FitOptions:
             raise ValueError("restarts and max_iters must be at least 1")
         if not 0.0 < self.eps_clamp < 0.5:
             raise ValueError("eps_clamp must lie in (0, 0.5)")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
 
     def check_arities(self, structure: BayesNet) -> None:

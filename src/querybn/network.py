@@ -395,8 +395,11 @@ def validate(net: BayesNet, *, eps_clamp: float | None = None) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     Passing ``eps_clamp`` additionally requires every entry to lie in
-    ``[eps_clamp, 1 - eps_clamp]`` (clamped mode).
+    ``[eps_clamp, 1 - eps_clamp]`` (clamped mode); an ``eps_clamp``
+    outside (0, 0.5) raises ``ValueError``.
     """
+    if eps_clamp is not None and not 0.0 < eps_clamp < 0.5:
+        raise ValueError(f"eps_clamp must lie in (0, 0.5), got {eps_clamp}")
     out: list[str] = []
     names = [v.name for v in net.variables]
     seen: set[str] = set()

@@ -75,6 +75,13 @@ class LabeledQuery:
             raise ValueError(f"label must be a probability, got {self.label}")
 
 
+def _query_weights(n: int, weights: Sequence[float] | None) -> list[float]:
+    """The weights of ``n`` queries as floats, ``1/n`` each when None."""
+    if weights is not None and len(weights) != n:
+        raise ValueError("weights must match queries")
+    return [1.0 / n] * n if weights is None else [float(w) for w in weights]
+
+
 @dataclass(frozen=True)
 class QueryPattern:
     """A query shape: variable roles fixed, some evidence values pinned.

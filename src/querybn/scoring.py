@@ -26,7 +26,7 @@ import numpy as np
 
 from .inference import ZeroEvidence, answer, enumerate_joint, legal_answer, marginal
 from .network import BayesNet
-from .queries import LabeledQuery, QueryDistribution, StatQuery
+from .queries import LabeledQuery, QueryDistribution, StatQuery, _query_weights
 from .sampling import Dataset, cond_freq
 
 
@@ -143,15 +143,6 @@ def true_err(b: BayesNet, dist: QueryDistribution, truth: BayesNet) -> ErrReport
     """
     refs = [(q, w, legal_answer(truth, q)) for q, w in dist.atoms]
     return _score_rows(b, refs, "true")
-
-
-def _query_weights(n: int, weights: Sequence[float] | None) -> list[float]:
-    """``weights`` as floats, ``1/n`` each when None."""
-    if weights is None:
-        return [1.0 / n] * n
-    if len(weights) != n:
-        raise ValueError("weights must match queries")
-    return [float(w) for w in weights]
 
 
 def empirical_err(b: BayesNet, qs: Sequence[LabeledQuery],

@@ -52,6 +52,12 @@ class TestValidateCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", "--net", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "0.5", "inf"])
+    def test_clamp_outside_its_range_exits_two(self, ex41_files, capsys, eps):
+        assert main(["validate", "--net", str(ex41_files["bp"]), f"--clamped={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --clamped" in captured.err and "ok" not in captured.out
+
 
 class TestEvalCommand:
     def test_true_mode_reproduces_the_quarter(self, ex41_files, capsys):
@@ -272,7 +278,7 @@ class TestLearnCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", [["--restarts", "0"], ["--max-iters", "0"],
-                                      ["--tol", "-1"], ["--clamp", "0.6"]])
+                                      ["--tol", "-1"], ["--clamp", "0.6"], ["--tol", "nan"]])
     def test_invalid_fit_options_exit_two(self, ex41_files, capsys, flag):
         assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
                      "--queries", str(ex41_files["labeled"]), *flag,
@@ -291,6 +297,17 @@ class TestLearnCommand:
                      "--clamp", "0.4", "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "invalid fit options" in err and "'T'" in err
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_ofe_smoothing_outside_its_range_exits_two(self, ex41_files, tmp_path, capsys,
+                                                       alpha):
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 20, seed=6), dpath)
+        out = ex41_files["out"]
+        assert main(["learn", "--mode", "ofe", "--net", str(ex41_files["bp"]),
+                     "--data", str(dpath), f"--alpha={alpha}", "--out", str(out)]) == 2
+        assert "invalid --alpha" in capsys.readouterr().err
+        assert not (out / "net.json").exists()
 
     def test_ofe_without_data_exits_two(self, ex41_files):
         assert main(["learn", "--mode", "ofe", "--net", str(ex41_files["bp"]),

@@ -65,6 +65,28 @@ class TestFamilyPosterior:
             net = random_net(rng, n_vars=5, arities=(2, 3), max_parents=2)
             q = random_query(rng, net, max_target=0 or 1, max_evidence=2)
             self.assert_matches_enumeration(net, str(rng.choice(net.names)), q.evidence)
+        # e * dZ/de / Z where it could break: rows off the simplex, a zero
+        # entry in v's own CPT and in another one, and evidence that fixes
+        # part of v's family
+        checked = 0
+        for _ in range(40):
+            net = random_net(rng, n_vars=5, arities=(2, 3), max_parents=2)
+            v, other = (str(u) for u in rng.choice(net.names, size=2, replace=False))
+            tables = {u: net.cpts[u].table * rng.uniform(0.5, 1.5, net.cpts[u].table.shape)
+                      for u in net.names}
+            for u in (v, other):
+                tables[u][tuple(rng.integers(tables[u].shape))] = 0.0
+            net = net.with_tables(tables)
+            fam = net.parents(v) + (v,)
+            fixed = rng.choice(fam, size=int(rng.integers(1, max(len(fam), 2))), replace=False)
+            evidence = {**random_query(rng, net, max_evidence=1).evidence,
+                        **{str(f): net.label(str(f), int(rng.integers(net.arity(str(f)))))
+                           for f in fixed}}
+            if enumerate_marginal(net, evidence) <= 0.0:
+                continue
+            self.assert_matches_enumeration(net, v, evidence)
+            checked += 1
+        assert checked >= 20
 
     def test_parent_order_differs_from_variable_order(self):
         # C's declared parents are (B, A) while the net orders A before B;
@@ -78,6 +100,8 @@ class TestFamilyPosterior:
         assert net.parents("C") == ("B", "A")
         for evidence in ({}, {"A": "1"}, {"B": "z"}, {"A": "0", "D": "1"}):
             self.assert_matches_enumeration(net, "C", evidence)
+        with pytest.raises(KeyError, match="unknown variable 'Z'"):
+            family_posterior(net, "Z", {})
 
 
 class TestTernaryFitting:

@@ -145,6 +145,11 @@ class TestPlans:
         assert [marginal(rebuilt, e) for e in evidences] == [marginal(b, e) for e in evidences]
         assert _compile.cache_info().misses == compiled
         assert _compile.cache_info().maxsize == PLAN_CACHE_SIZE
+        # a family posterior replays the plan marginal compiled for its evidence
+        for e in evidences:
+            for v in a.names:
+                family_posterior(b, v, e)
+        assert _compile.cache_info().misses == compiled
 
     def test_cache_hit_is_bit_identical_to_a_cold_plan(self):
         rng = np.random.default_rng(26)
@@ -195,21 +200,18 @@ class TestPlans:
                 assert dz[eid.var][eid.row, eid.value] == pytest.approx(fd, abs=1e-12)
 
     def test_a_batched_replay_gives_each_element_its_own_bits(self):
-        # elements share the structure, the evidence variables and the kept
-        # tuple and sit on two batch axes, candidates x rows, as the fitter's
-        # line-search rounds do; a register shared by the rows of a candidate
-        # has size 1 on the row axis and is a strided view, and one shared by
-        # every element carries no batch axis
+        # elements share the structure and the evidence variables and sit on
+        # two batch axes, candidates x rows, as the fitter's line-search
+        # rounds do; a register shared by the rows of a candidate has size 1
+        # on the row axis and is a strided view, and one shared by every
+        # element carries no batch axis
         rng = np.random.default_rng(29)
         for _ in range(300):
             net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3, 4),
                              max_parents=3)
             e = _random_evidence(rng, net)
-            free = [v for v in net.names if v not in e]
-            keep = tuple(rng.choice(free, size=min(len(free), int(rng.integers(0, 3))),
-                                    replace=False))
             cands, size = int(rng.integers(1, 4)), int(rng.integers(2, 6))
-            elems = [[_forward(_unnormalized(rng, net), e, keep) for _ in range(size)]
+            elems = [[_forward(_unnormalized(rng, net), e) for _ in range(size)]
                      for _ in range(cands)]
             plan, n = elems[0][0][0], len(net.names)
             regs = []

@@ -65,8 +65,10 @@ class TestOfe:
         assert all(b <= a + 0.01 for a, b in zip(errs, errs[1:]))
 
     def test_negative_smoothing_rejected(self):
-        with pytest.raises(ValueError):
-            ofe(ex41_structure(), forward_sample(ex41_truth(), 10, seed=0), alpha=-1.0)
+        data = forward_sample(ex41_truth(), 10, seed=0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="smoothing"):
+                ofe(ex41_structure(), data, alpha=alpha)
 
 
 class TestDbDentry:
