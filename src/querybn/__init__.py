@@ -15,13 +15,12 @@ from .inference import (EnumerationCapExceeded, ZeroEvidence, answer, cond_prob,
                         enumerate_joint, enumerate_marginal, family_posterior,
                         is_markov_blanket_query, marginal, mb_posterior, mb_query)
 from .queries import (LabeledQuery, QueryDistribution, QueryPattern, StatQuery,
-                      expand_pattern, label_queries, load_queries, parse_queries,
-                      sample_query, save_queries)
+                      UnmatchedEvidence, expand_pattern, label_from_data, label_queries,
+                      load_queries, parse_queries, save_queries)
 from .sampling import (CapExceeded, Dataset, collect_until_matched, cond_freq,
                        forward_sample, load_dataset, save_dataset)
-from .scoring import (ErrReport, QueryScore, UnmatchedEvidence, ZeroProbability,
-                      empirical_err, empirical_err_from_events, ll_decomposition,
-                      nll, true_err, true_kl)
+from .scoring import (ErrReport, QueryScore, ZeroProbability, empirical_err,
+                      empirical_err_from_events, ll_decomposition, nll, true_err, true_kl)
 from .learning import (FitOptions, FitResult, TraceRow, db_dentry, derr_dentry,
                        derr_dentry_mb, fit_cpt, fit_cpt_from_events, flatten_grad,
                        grad, ofe)

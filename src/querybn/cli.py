@@ -21,9 +21,9 @@ from .experiments import EXPERIMENT_IDS, experiment_params, run_experiment
 from .inference import ZeroEvidence
 from .learning import FitOptions, fit_cpt, ofe
 from .network import BayesNet, InvalidNetError, load_net, save_net, validate
-from .queries import LabeledQuery, label_queries, load_queries
-from .sampling import cond_freq, forward_sample, load_dataset, save_dataset
-from .scoring import UnmatchedEvidence, empirical_err, empirical_err_from_events, true_err
+from .queries import UnmatchedEvidence, label_from_data, label_queries, load_queries
+from .sampling import forward_sample, load_dataset, save_dataset
+from .scoring import empirical_err, empirical_err_from_events, true_err
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -148,13 +148,12 @@ def cmd_learn(args) -> int:
             labeled = label_queries(truth, dist.queries())
         elif args.data:
             data = _load_or_fail("data", args.data, lambda p: load_dataset(p, structure))
-            labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
-                       for q in dist.queries()]
+            labeled = label_from_data(data, dist.queries())
         else:
             raise _CliError(
                 "learn --mode qfit needs labels in the query file, --truth, or --data",
                 USAGE_ERROR)
-    except ValueError as exc:  # ZeroEvidence included
+    except ValueError as exc:  # ZeroEvidence and UnmatchedEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
     weights = dist.weights()
     result = fit_cpt(structure, labeled, opts, weights=weights, init_net=structure)
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
+    if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
     try:
         return args.func(args)

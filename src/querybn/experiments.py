@@ -38,7 +38,7 @@ from . import bounds
 from .inference import answer, marginal
 from .learning import FitOptions, fit_cpt, flatten_grad, grad, ofe
 from .network import BayesNet, Dag, Variable, clamp_net
-from .queries import LabeledQuery, QueryDistribution, StatQuery
+from .queries import LabeledQuery, QueryDistribution, StatQuery, label_from_data
 from .random_nets import random_net, random_query
 from .sampling import cond_freq, forward_sample
 from .scoring import empirical_err, true_err
@@ -222,19 +222,22 @@ def run_ex41(seed: int = 0, *, ofe_samples: int = 100_000, restarts: int = 10,
 
 # -- Example 4.2 fixture --------------------------------------------------------
 
+# P(C=0), P(A_i=0 | C=0) and P(A_i=0 | C=1); run_ex42's report lists them
+EX42_TRUTH = {"p_c0": 0.5, "p_a0_c0": 0.2, "p_a0_c1": 0.05}
 
-def ex42_truth(n: int = 10, p_c0: float = 0.5, p_a0_c0: float = 0.2,
-               p_a0_c1: float = 0.05) -> BayesNet:
+
+def ex42_truth(n: int = 10) -> BayesNet:
     """Naive Bayes C -> A_1..A_n making the all-zeros attribute event
-    exponentially rare (documented parameterization)."""
+    exponentially rare (parameterized by ``EX42_TRUTH``)."""
     names = ["C"] + [f"A{i}" for i in range(1, n + 1)]
     variables = [_binary(name) for name in names]
     dag = Dag.from_edges(tuple(names), [("C", f"A{i}") for i in range(1, n + 1)])
     net = BayesNet.uniform(variables, dag)
-    tables = {"C": [[p_c0, 1.0 - p_c0]]}
+    p = EX42_TRUTH
+    tables = {"C": [[p["p_c0"], 1.0 - p["p_c0"]]]}
     for i in range(1, n + 1):
-        tables[f"A{i}"] = [[p_a0_c0, 1.0 - p_a0_c0],   # given C=0
-                           [p_a0_c1, 1.0 - p_a0_c1]]   # given C=1
+        tables[f"A{i}"] = [[p["p_a0_c0"], 1.0 - p["p_a0_c0"]],   # given C=0
+                           [p["p_a0_c1"], 1.0 - p["p_a0_c1"]]]   # given C=1
     return net.with_tables(tables)
 
 
@@ -268,7 +271,7 @@ def run_ex42(n: int = 10, sample_sizes: Sequence[int] = (500, 1000, 2000, 4000),
         raise ValueError("ex4.2 needs at least one sample size")
     report = ExperimentReport("ex4.2", seed, {
         "n": n, "sample_sizes": list(sample_sizes), "trials": trials,
-        "truth": {"p_c0": 0.5, "p_a0_c0": 0.2, "p_a0_c1": 0.05},
+        "truth": dict(EX42_TRUTH),
     })
     rows = []
     for size in sample_sizes:
@@ -296,7 +299,7 @@ def run_ex42(n: int = 10, sample_sizes: Sequence[int] = (500, 1000, 2000, 4000),
 # -- Example 4.3 fixture --------------------------------------------------------
 
 
-def ex43_truth(n: int = 10, eps_clamp: float = 1e-6) -> BayesNet:
+def ex43_truth(n: int = 10) -> BayesNet:
     """Reverse naive Bayes A_1..A_n -> C with the deterministic rule
     C = A_1 AND parity(A_2..A_n), entries clamped to stay interior."""
     names = [f"A{i}" for i in range(1, n + 1)] + ["C"]
@@ -310,7 +313,7 @@ def ex43_truth(n: int = 10, eps_clamp: float = 1e-6) -> BayesNet:
         c = bits[0] & (sum(bits[1:]) % 2)
         rows[r, c] = 1.0
     tables["C"] = rows
-    return clamp_net(net.with_tables(tables), eps_clamp)
+    return clamp_net(net.with_tables(tables), 1e-6)
 
 
 def _ex43_trial(args) -> tuple:
@@ -371,8 +374,7 @@ def run_comparison(truth: BayesNet, structure: BayesNet, dist: QueryDistribution
         ofe_net = ofe(structure, data)
         out.append({"method": "ofe", "size": size,
                     "err": true_err(ofe_net, dist, truth).aggregate})
-        labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence))
-                   for q, _ in dist.atoms]
+        labeled = label_from_data(data, dist.queries())
         fitted = fit_cpt(structure, labeled, opts, weights=dist.weights())
         out.append({"method": "qfit", "size": size,
                     "err": true_err(fitted.net, dist, truth).aggregate})
@@ -419,14 +421,14 @@ def run_table1(seed: int = 0, sample_sizes: Sequence[int] = (100, 1000, 10000, 1
 # -- Hoeffding validation of the labeled-query estimator ---------------------------
 
 
-def hoeffding_fixture(n_vars: int = 5) -> tuple[BayesNet, BayesNet, QueryDistribution]:
+def hoeffding_fixture() -> tuple[BayesNet, BayesNet, QueryDistribution]:
     """A fixed (truth, hypothesis, query distribution) triple.
 
     The fixture is part of the experiment definition, so it uses its own
     constant seeds regardless of the experiment seed.
     """
-    truth = random_net(np.random.default_rng(20240601), n_vars=n_vars, interior=0.15)
-    hypothesis = random_net(np.random.default_rng(20240602), n_vars=n_vars, interior=0.15)
+    truth = random_net(np.random.default_rng(20240601), n_vars=5, interior=0.15)
+    hypothesis = random_net(np.random.default_rng(20240602), n_vars=5, interior=0.15)
     rng = np.random.default_rng(20240603)
     queries = []
     while len(queries) < 12:

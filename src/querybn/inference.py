@@ -290,7 +290,8 @@ def cond_prob(net: BayesNet, x: Assignment, y: Assignment) -> float:
         return 0.0
     merged = dict(y)
     merged.update(x)
-    return marginal(net, merged) / p_y
+    # B(x, y) and B(y) come from two plans that round differently
+    return min(1.0, marginal(net, merged) / p_y)
 
 
 def family_posterior(net: BayesNet, v: str, evidence: Assignment) -> np.ndarray:

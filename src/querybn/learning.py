@@ -65,8 +65,8 @@ from . import bounds
 from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_prob,
                         family_posterior, is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, clamp_row, d_separated
-from .queries import LabeledQuery, StatQuery, _query_weights
-from .sampling import Dataset, collect_until_matched, cond_freq
+from .queries import LabeledQuery, StatQuery, _query_weights, label_from_data
+from .sampling import Dataset, collect_until_matched
 
 DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
@@ -615,8 +615,8 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
 
 
 def fit_cpt_from_events(structure: BayesNet, qs: Sequence[StatQuery], source: BayesNet,
-                        opts: FitOptions = FitOptions(), eps: float = 0.2, delta: float = 0.2,
-                        *, cap: int = 10_000_000) -> FitResult:
+                        opts: FitOptions = FitOptions(), eps: float = 0.2,
+                        delta: float = 0.2) -> FitResult:
     """Fit from unlabeled queries plus an event source.
 
     Draws tuples from ``source`` until every distinct evidence pattern has
@@ -626,8 +626,8 @@ def fit_cpt_from_events(structure: BayesNet, qs: Sequence[StatQuery], source: Ba
     if not qs:
         raise ValueError("fit_cpt_from_events needs at least one query")
     per = bounds.m_prime_d(eps, delta, bounds.m_sq(eps, delta))
-    data = collect_until_matched(source, [q.evidence for q in qs], per, cap=cap, seed=opts.seed)
-    labeled = [LabeledQuery(q, cond_freq(data, q.target, q.evidence)) for q in qs]
+    data = collect_until_matched(source, [q.evidence for q in qs], per, seed=opts.seed)
+    labeled = label_from_data(data, qs)
     result = fit_cpt(structure, labeled, opts)
     result.labeled_queries = labeled
     return result

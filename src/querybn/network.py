@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .queries import QueryDistribution, StatQuery
+    from .queries import StatQuery
 
 # A (partial) assignment maps variable names to value labels.
 Assignment = Mapping[str, str]
@@ -120,7 +120,6 @@ class EntryId(NamedTuple):
 class Cpt:
     """CPT of one variable: one probability row per parent configuration."""
 
-    owner: str
     table: np.ndarray  # shape (n_parent_configs, arity)
 
     def __post_init__(self):
@@ -158,7 +157,7 @@ class BayesNet:
         variables = [Variable(str(v["name"]), tuple(v["domain"])) for v in doc["variables"]]
         names = [v.name for v in variables]
         dag = Dag.from_edges(names, [(str(p), str(c)) for p, c in doc.get("edges", [])])
-        cpts = {name: Cpt(name, np.asarray(rows, dtype=float)) for name, rows in doc.get("cpts", {}).items()}
+        cpts = {name: Cpt(np.asarray(rows, dtype=float)) for name, rows in doc.get("cpts", {}).items()}
         return cls(variables, dag, cpts)
 
     @classmethod
@@ -171,7 +170,7 @@ class BayesNet:
             rows = 1
             for p in dag.parents.get(name, ()):
                 rows *= net_vars[p].arity
-            cpts[name] = Cpt(name, np.full((rows, arity), 1.0 / arity))
+            cpts[name] = Cpt(np.full((rows, arity), 1.0 / arity))
         return cls(variables, dag, cpts)
 
     def with_tables(self, tables: Mapping[str, np.ndarray]) -> "BayesNet":
@@ -183,7 +182,7 @@ class BayesNet:
         net = copy.copy(self)
         net.cpts = dict(self.cpts)
         for name, table in tables.items():
-            net.cpts[name] = Cpt(name, np.asarray(table, dtype=float))
+            net.cpts[name] = Cpt(np.asarray(table, dtype=float))
         return net
 
     # -- basic accessors -------------------------------------------------------
@@ -371,14 +370,12 @@ def requisite_cpd_vars(net: BayesNet, targets: Iterable[str], evidence: Iterable
     return frozenset(top)
 
 
-def relevant_entries(net: BayesNet, dist: "QueryDistribution | Iterable[StatQuery]") -> set[EntryId]:
-    """CPT entries that can affect the net's answer to some query in ``dist``.
+def relevant_entries(net: BayesNet, queries: Iterable[StatQuery]) -> set[EntryId]:
+    """CPT entries that can affect the net's answer to some query in ``queries``.
 
     Entries outside the returned set provably cannot change any answered
     conditional, however their row is re-distributed.
     """
-    atoms = getattr(dist, "atoms", None)
-    queries = [q for q, _ in atoms] if atoms is not None else list(dist)
     needed: set[str] = set()
     for q in queries:
         needed |= requisite_cpd_vars(net, q.target.keys(), q.evidence.keys())
@@ -518,12 +515,12 @@ def save_net(net: BayesNet, path) -> None:
         fh.write("\n")
 
 
-def load_net(path, *, eps_clamp: float | None = None) -> BayesNet:
+def load_net(path) -> BayesNet:
     """Load and validate a net; raises :class:`InvalidNetError` on violations."""
     with open(path) as fh:
         doc = json.load(fh)
     net = BayesNet.from_dict(doc)
-    violations = validate(net, eps_clamp=eps_clamp)
+    violations = validate(net)
     if violations:
         raise InvalidNetError(violations)
     return net

@@ -18,9 +18,18 @@ import numpy as np
 
 from .inference import legal_answer
 from .network import Assignment, BayesNet
+from .sampling import Dataset, cond_freq
 
 DEFAULT_ATOM_CAP = 2 ** 20
 WEIGHT_TOL = 1e-6
+
+
+class UnmatchedEvidence(ValueError):
+    """Event data contains no tuple matching some query's evidence."""
+
+    def __init__(self, query_ids: list[str]):
+        super().__init__("no event tuples match the evidence of: " + ", ".join(query_ids))
+        self.query_ids = query_ids
 
 
 class StatQuery:
@@ -43,9 +52,6 @@ class StatQuery:
         self.target = target
         self.evidence = evidence
         self._key = (tuple(sorted(target.items())), tuple(sorted(evidence.items())))
-
-    def variables(self) -> set[str]:
-        return set(self.target) | set(self.evidence)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, StatQuery) and self._key == other._key
@@ -142,8 +148,9 @@ class QueryDistribution:
     Atoms are ``(query, weight)`` or ``(query, weight, label)`` with label
     ``None`` meaning unlabeled; a label must lie in [0, 1].  Duplicate
     queries are merged by summing their weights; their labels must agree
-    within ``1e-12``.  Weights must total 1 within ``1e-6``; they are
-    rescaled to sum to exactly 1.
+    within ``1e-12``.  Weights must total 1 within ``1e-6``; each is then
+    divided by their float total, which need not make them sum to exactly
+    1.0.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -203,13 +210,6 @@ class QueryDistribution:
         return None not in self.labels
 
 
-def sample_query(dist: QueryDistribution, rng: np.random.Generator | int) -> StatQuery:
-    """Draw one query from the distribution (seed or generator accepted)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    return dist.sample(rng)
-
-
 def label_queries(truth: BayesNet, qs: Iterable[StatQuery]) -> list[LabeledQuery]:
     """Label each query with the truth net's answer.
 
@@ -217,6 +217,19 @@ def label_queries(truth: BayesNet, qs: Iterable[StatQuery]) -> list[LabeledQuery
     truth distribution (their conditioning event has probability zero).
     """
     return [LabeledQuery(q, legal_answer(truth, q)) for q in qs]
+
+
+def label_from_data(data: Dataset, qs: Sequence[StatQuery]) -> list[LabeledQuery]:
+    """Label each query with its conditional frequency in ``data``.
+
+    Raises :class:`UnmatchedEvidence` listing every query whose evidence
+    matches no tuple; with no tuples at all that includes evidence-free
+    queries.
+    """
+    unmatched = [q.id() for q in qs if not data.match_mask(q.evidence).any()]
+    if unmatched:
+        raise UnmatchedEvidence(unmatched)
+    return [LabeledQuery(q, cond_freq(data, q.target, q.evidence)) for q in qs]
 
 
 # -- query file format -----------------------------------------------------------
@@ -229,14 +242,13 @@ def label_queries(truth: BayesNet, qs: Iterable[StatQuery]) -> list[LabeledQuery
 # QueryDistribution, which merges duplicates and checks the weights.
 
 
-def load_queries(path, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP) -> QueryDistribution:
+def load_queries(path, net: BayesNet) -> QueryDistribution:
     with open(path) as fh:
         doc = json.load(fh)
-    return parse_queries(doc, net, atom_cap=atom_cap)
+    return parse_queries(doc, net)
 
 
-def parse_queries(doc: Mapping, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_CAP,
-                  ) -> QueryDistribution:
+def parse_queries(doc: Mapping, net: BayesNet) -> QueryDistribution:
     atoms: list[Atom] = []
     for item in doc.get("atoms", ()):
         q = StatQuery(item["target"], item.get("evidence", {}))
@@ -246,7 +258,7 @@ def parse_queries(doc: Mapping, net: BayesNet, *, atom_cap: int = DEFAULT_ATOM_C
     for item in doc.get("patterns", ()):
         pat = QueryPattern(tuple(item["target_vars"]), tuple(item.get("evidence_vars", ())),
                            item.get("pinned", {}))
-        atoms.extend(expand_pattern(net, pat, float(item["weight"]), atom_cap=atom_cap))
+        atoms.extend(expand_pattern(net, pat, float(item["weight"])))
     return QueryDistribution(atoms)
 
 

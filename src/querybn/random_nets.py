@@ -43,12 +43,11 @@ def random_net(rng: np.random.Generator, n_vars: int = 5, arities: Sequence[int]
 
 
 def random_query(rng: np.random.Generator, net: BayesNet, max_target: int = 1,
-                 max_evidence: int = 3, min_evidence_prob: float = 0.0,
-                 max_tries: int = 200) -> StatQuery:
+                 max_evidence: int = 3, min_evidence_prob: float = 0.0) -> StatQuery:
     """A legal random query: evidence values come from a sampled world, so
     the conditioning event always has positive probability."""
     names = list(net.names)
-    for _ in range(max_tries):
+    for _ in range(200):
         n_target = int(rng.integers(1, min(max_target, len(names)) + 1))
         n_evidence = int(rng.integers(0, min(max_evidence, len(names) - n_target) + 1))
         picks = list(rng.choice(len(names), size=n_target + n_evidence, replace=False))

@@ -9,8 +9,8 @@ experiment is reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class Dataset:
     variables: tuple[str, ...]
     domains: tuple[tuple[str, ...], ...]
     codes: np.ndarray  # shape (n_tuples, n_variables), integer codes
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         codes = np.array(self.codes, dtype=np.int64)  # own copy; frozen below
@@ -84,7 +83,7 @@ class Dataset:
 
     @classmethod
     def from_labels(cls, variables: Sequence[str], domains: Sequence[Sequence[str]],
-                    rows: Iterable[Sequence[str]], provenance: Mapping | None = None) -> "Dataset":
+                    rows: Iterable[Sequence[str]]) -> "Dataset":
         domains = [tuple(d) for d in domains]
         index = [{lab: i for i, lab in enumerate(d)} for d in domains]
         codes = []
@@ -96,7 +95,7 @@ class Dataset:
             except KeyError as exc:
                 raise ValueError(f"row {r}: unknown value {exc.args[0]!r}") from None
         arr = np.asarray(codes, dtype=np.int64).reshape(len(codes), len(variables))
-        return cls(tuple(variables), tuple(domains), arr, provenance or {})
+        return cls(tuple(variables), tuple(domains), arr)
 
 
 def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -> Dataset:
@@ -106,17 +105,13 @@ def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -
         raise ValueError("sample size must be non-negative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cols = {v: i for i, v in enumerate(net.names)}
-    seed_note = int(seed) if isinstance(seed, (int, np.integer)) else None
     codes = np.zeros((n, len(net.names)), dtype=np.int64)
     for v in net.topological_order():
         cum = np.cumsum(net.cpts[v].table[net.row_indices(v, codes, cols)], axis=1)
         cum /= cum[:, -1:]  # a validated row may sum to 1 - 1e-9; u < 1 must not reach code arity
         u = rng.random(n)
         codes[:, cols[v]] = (u[:, None] >= cum).sum(axis=1)
-    prov = {"source": "forward_sample", "n": n}
-    if seed_note is not None:
-        prov["seed"] = seed_note
-    return Dataset(net.names, tuple(v.domain for v in net.variables), codes, prov)
+    return Dataset(net.names, tuple(v.domain for v in net.variables), codes)
 
 
 def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per_evidence: int,
@@ -136,11 +131,8 @@ def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     evidences = list(evidences)
     domains = tuple(v.domain for v in source.variables)
-    prov = {"source": "collect_until_matched", "per_evidence": per_evidence}
-    if isinstance(seed, (int, np.integer)):
-        prov["seed"] = int(seed)
     if per_evidence == 0 or not evidences:
-        return Dataset(source.names, domains, np.zeros((0, len(source.names)), dtype=np.int64), prov)
+        return Dataset(source.names, domains, np.zeros((0, len(source.names)), dtype=np.int64))
 
     chunks: list[np.ndarray] = []
     counts = np.zeros(len(evidences), dtype=np.int64)
@@ -162,7 +154,7 @@ def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per
         counts += hits.sum(axis=0)
         chunks.append(data.codes)
     total = np.concatenate(chunks, axis=0)
-    return Dataset(source.names, domains, total, prov)
+    return Dataset(source.names, domains, total)
 
 
 def cond_freq(data: Dataset, x: Assignment, y: Assignment) -> float:
@@ -214,4 +206,4 @@ def load_dataset(path, net: BayesNet) -> Dataset:
         if missing:
             raise ValueError(f"dataset missing variables: {missing}")
         domains = [net.domain(h) for h in header]
-        return Dataset.from_labels(header, domains, list(reader), {"source": str(path)})
+        return Dataset.from_labels(header, domains, list(reader))

@@ -26,16 +26,10 @@ import numpy as np
 
 from .inference import ZeroEvidence, answer, enumerate_joint, legal_answer, marginal
 from .network import BayesNet
-from .queries import LabeledQuery, QueryDistribution, StatQuery, _query_weights
-from .sampling import Dataset, cond_freq
-
-
-class UnmatchedEvidence(ValueError):
-    """Event data contains no tuple matching some query's evidence."""
-
-    def __init__(self, query_ids: list[str]):
-        super().__init__("no event tuples match the evidence of: " + ", ".join(query_ids))
-        self.query_ids = query_ids
+from .queries import (LabeledQuery, QueryDistribution, StatQuery, _query_weights,
+                      label_from_data)
+from .queries import UnmatchedEvidence  # noqa: F401  raised by label_from_data; re-exported
+from .sampling import Dataset
 
 
 class ZeroProbability(ValueError):
@@ -165,11 +159,8 @@ def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Datase
     """
     if not qs:
         raise ValueError("empirical_err_from_events needs at least one query")
-    unmatched = [q.id() for q in qs if q.evidence and not data.match_mask(q.evidence).any()]
-    if unmatched:
-        raise UnmatchedEvidence(unmatched)
-    refs = [(q, w, cond_freq(data, q.target, q.evidence))
-            for q, w in zip(qs, _query_weights(len(qs), weights))]
+    refs = [(lq.query, w, lq.label)
+            for lq, w in zip(label_from_data(data, qs), _query_weights(len(qs), weights))]
     return _score_rows(b, refs, "unlabeled+events")
 
 
@@ -203,7 +194,7 @@ def _log_joint_per_tuple(b: BayesNet, data: Dataset) -> np.ndarray:
     return logp
 
 
-def true_kl(b: BayesNet, truth: BayesNet, *, cap: int = 22) -> float:
+def true_kl(b: BayesNet, truth: BayesNet) -> float:
     """Exact KL(truth || b) by enumeration over full assignments.
 
     Requires ``b`` to give positive mass wherever ``truth`` does, and both
@@ -211,8 +202,8 @@ def true_kl(b: BayesNet, truth: BayesNet, *, cap: int = 22) -> float:
     """
     if truth.names != b.names or any(truth.domain(v) != b.domain(v) for v in truth.names):
         raise ValueError("nets must share variables and domains")
-    p = enumerate_joint(truth, cap=cap).ravel()
-    q = enumerate_joint(b, cap=cap).ravel()
+    p = enumerate_joint(truth).ravel()
+    q = enumerate_joint(b).ravel()
     support = p > 0.0
     if np.any(q[support] <= 0.0):
         raise ZeroProbability("hypothesis assigns zero mass inside the truth's support")

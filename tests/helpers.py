@@ -50,6 +50,20 @@ def collider_net() -> BayesNet:
     )
 
 
+def certain_parent_net() -> BayesNet:
+    """A -> B, A -> C, B -> C with B = 1 only when A = 1, so
+    P(A=1 | B=1) is exactly 1; its two marginals round differently."""
+    return make_net(
+        [("A", "01"), ("B", "01"), ("C", "01")],
+        [("A", "B"), ("A", "C"), ("B", "C")],
+        {
+            "A": [[0.6, 0.4]],
+            "B": [[1.0, 0.0], [0.7, 1 - 0.7]],
+            "C": [[0.2, 0.8], [0.1, 0.9], [0.3, 0.7], [0.3, 0.7]],
+        },
+    )
+
+
 def naive_bayes_net(n=4, p_c=0.5, p_a_c0=0.2, p_a_c1=0.7) -> BayesNet:
     variables = [("C", "01")] + [(f"A{i}", "01") for i in range(1, n + 1)]
     edges = [("C", f"A{i}") for i in range(1, n + 1)]

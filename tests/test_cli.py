@@ -12,6 +12,8 @@ from querybn.experiments import ex41_bp, ex41_bsq, ex41_distribution, ex41_truth
 from querybn.queries import LabeledQuery, save_queries, StatQuery
 from querybn.sampling import cond_freq, forward_sample, load_dataset, save_dataset
 
+from helpers import certain_parent_net
+
 
 @pytest.fixture()
 def ex41_files(tmp_path):
@@ -149,6 +151,18 @@ class TestDataFileErrors:
                      "--out", str(ex41_files["out"])]) == 2
         assert f"cannot parse data file {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval"], ["learn", "--mode", "qfit"]])
+    def test_data_without_tuples_lists_every_unmatched_query(self, ex41_files, tmp_path,
+                                                            capsys, command):
+        qpath, dpath = tmp_path / "q.json", tmp_path / "d.csv"
+        queries = [StatQuery({"C": "1"}), StatQuery({"C": "1"}, {"A": "1"})]
+        save_queries(qpath, [(q, 0.5) for q in queries])
+        dpath.write_text("A,X,C\n")
+        assert main([*command, "--net", str(ex41_files["bp"]), "--queries", str(qpath),
+                     "--data", str(dpath), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert all(q.id() in err for q in queries)
+
 
 class TestLearnCommand:
     def test_ofe_recovers_bp_entries(self, ex41_files, tmp_path):
@@ -175,7 +189,7 @@ class TestLearnCommand:
         net = load_net(out / "net.json")
         qf = load_queries(ex41_files["labeled"], net)
         assert empirical_err(net, qf.labeled()).aggregate < 1e-3
-        rows = list(csv.reader((out / "trace.csv").open()))
+        rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
         assert rows[0][:3] == ["restart", "iteration", "err"]
         assert len(rows) > 1
         for row in rows[1:]:  # plain numbers, never a numpy scalar's repr
@@ -248,6 +262,15 @@ class TestLearnCommand:
                      "--truth", str(ex41_files["truth"]),
                      "--restarts", "6", "--max-iters", "800",
                      "--out", str(out)]) == 0
+
+    def test_qfit_labels_a_certain_query_via_truth(self, tmp_path):
+        # P(A=1 | B=1) is exactly 1, and its label must not round above 1
+        npath, qpath = tmp_path / "net.json", tmp_path / "q.json"
+        save_net(certain_parent_net(), npath)
+        save_queries(qpath, [(StatQuery({"A": "1"}, {"B": "1"}), 1.0)])
+        assert main(["learn", "--mode", "qfit", "--net", str(npath), "--queries", str(qpath),
+                     "--truth", str(npath), "--restarts", "1", "--max-iters", "20",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_qfit_labels_via_data(self, ex41_files, tmp_path):
         dpath = tmp_path / "d.csv"
@@ -336,7 +359,7 @@ class TestSampleCommand:
         out = tmp_path / "out"
         assert main(["sample", "--net", str(npath), "-n", "100000", "--seed", "3",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "data.csv").open()))
+        rows = list(csv.DictReader((out / "data.csv").read_text().splitlines()))
         freq = sum(1 for r in rows if r["C"] == "1") / len(rows)
         assert abs(freq - 0.25) < 0.01
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from querybn.experiments import (CriterionRow, ExperimentReport, ex41_bp, ex41_bsq,
-                                 ex41_distribution, ex41_truth, ex43_truth,
+                                 ex41_distribution, ex41_truth, ex42_truth, ex43_truth,
                                  run_comparison, run_ex41, run_ex42, run_ex43,
                                  run_experiment, run_hoeffding, run_table1)
 from querybn.inference import marginal
@@ -49,6 +49,15 @@ class TestEx42:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             run_ex42(n=2)
+
+    def test_report_lists_the_truth_it_samples_from(self):
+        n = 4
+        p = run_ex42(n=n, sample_sizes=(2000,), trials=1).params["truth"]
+        truth = ex42_truth(n)
+        assert truth.cpts["C"].table[0].tolist() == [p["p_c0"], 1.0 - p["p_c0"]]
+        for i in range(1, n + 1):
+            assert truth.cpts[f"A{i}"].table.tolist() == [[p["p_a0_c0"], 1.0 - p["p_a0_c0"]],
+                                                          [p["p_a0_c1"], 1.0 - p["p_a0_c1"]]]
 
 
 class TestEx43:

@@ -163,7 +163,7 @@ class TestRelevantEntries:
             for _ in range(3):
                 queries.append(random_query(rng, net, max_target=1, max_evidence=2))
             dist = QueryDistribution.uniform(list(dict.fromkeys(queries)))
-            rel = relevant_entries(net, dist)
+            rel = relevant_entries(net, dist.queries())
             baseline = [cond_prob(net, qq.target, qq.evidence) for qq, _ in dist.atoms]
             for eid in set(net.entry_ids()) - rel:
                 for delta in (0.05, -0.05):

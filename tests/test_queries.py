@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from querybn import (LabeledQuery, QueryDistribution, QueryPattern, StatQuery,
                      ZeroEvidence, expand_pattern, is_markov_blanket_query,
-                     label_queries, load_queries, sample_query, save_queries)
+                     label_queries, load_queries, save_queries)
 from querybn.experiments import ex41_truth
 from querybn.inference import enumerate_marginal
 from querybn.random_nets import random_net, random_query
 
-from helpers import chain_net, make_net, naive_bayes_net
+from helpers import certain_parent_net, chain_net, make_net, naive_bayes_net
 
 
 def binary_net(n):
@@ -110,7 +110,7 @@ class TestSampleQuery:
     def test_single_atom_always_returned(self):
         q = StatQuery({"A": "1"})
         dist = QueryDistribution([(q, 1.0)])
-        assert all(sample_query(dist, s) == q for s in range(5))
+        assert all(dist.sample(np.random.default_rng(s)) == q for s in range(5))
 
     def test_two_atom_frequencies(self):
         dist = QueryDistribution.uniform([StatQuery({"A": "1"}), StatQuery({"A": "0"})])
@@ -193,6 +193,9 @@ class TestLabelQueries:
         # evidence pins X; query asks for the same X value through a blanketed route
         lq = label_queries(truth, [StatQuery({"X": "1"}, {"A": "1", "C": "1"})])[0]
         assert 0.0 <= lq.label <= 1.0
+        # B(A=1, B=1) / B(B=1) rounds above 1 unless the answer is clipped
+        lq = label_queries(certain_parent_net(), [StatQuery({"A": "1"}, {"B": "1"})])[0]
+        assert lq.label == 1.0
 
     def test_labels_match_enumeration_oracle(self):
         rng = np.random.default_rng(30)

@@ -168,11 +168,13 @@ class TestEmpiricalErrFromEvents:
 
     def test_unmatched_evidence_lists_queries(self):
         net = ex41_bp()
-        data = Dataset(("A", "X", "C"), (("0", "1"),) * 3, np.array([[0, 0, 0]]))
-        q = StatQuery({"C": "1"}, {"A": "1"})
-        with pytest.raises(UnmatchedEvidence) as err:
-            empirical_err_from_events(net, [q], data)
-        assert q.id() in err.value.query_ids
+        # with no tuples at all, an evidence-free query is unmatched too
+        for q, codes in [(StatQuery({"C": "1"}, {"A": "1"}), [[0, 0, 0]]),
+                         (StatQuery({"C": "1"}), np.zeros((0, 3)))]:
+            data = Dataset(("A", "X", "C"), (("0", "1"),) * 3, np.array(codes))
+            with pytest.raises(UnmatchedEvidence) as err:
+                empirical_err_from_events(net, [q], data)
+            assert q.id() in err.value.query_ids
 
     def test_event_based_estimate_lands_near_true_err(self):
         # eps = delta = 0.2 at the prescribed collection sizes; deviation beyond eps in
@@ -303,7 +305,7 @@ class TestReportOutput:
         report.write_csv(cpath)
         doc = json.loads(jpath.read_text())
         assert doc["aggregate"] == pytest.approx(0.25)
-        rows = list(csv.reader(cpath.open()))
+        rows = list(csv.reader(cpath.read_text().splitlines()))
         assert rows[0] == ["query", "weight", "hypothesis", "reference", "sq_error", "note"]
         assert rows[-1][0] == "aggregate"
         assert float(rows[-1][4]) == pytest.approx(0.25)
