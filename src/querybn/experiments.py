@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .inference import answer, marginal
+from .inference import ZeroEvidence, answer, marginal
 from .learning import FitOptions, fit_cpt, flatten_grad, grad, ofe
 from .network import BayesNet, Dag, Variable, clamp_net
 from .queries import LabeledQuery, QueryDistribution, StatQuery, label_from_data
@@ -252,7 +252,12 @@ def _ex42_trial(args) -> tuple:
     q = ex42_query(n)
     true_val = answer(truth, q)
     data = forward_sample(truth, size, seed=rng)
-    structured = answer(ofe(truth, data, alpha=0.0), q)
+    try:
+        structured = answer(ofe(truth, data, alpha=0.0), q)
+    except ZeroEvidence:
+        # the unsmoothed net gives the evidence probability 0 when, for each
+        # class, some attribute was never seen at 0; same fallback as below
+        structured = 0.5
     try:
         direct = cond_freq(data, q.target, q.evidence)
         undefined = False

@@ -2,13 +2,16 @@
 Markov-blanket fast path.
 
 ``marginal`` answers B(assignment) by variable elimination under a greedy
-min-degree ordering, each step one pairwise ``np.einsum`` contraction of
+min-degree ordering, each step one pairwise einsum contraction of
 the factors that touch the eliminated variable.  The order and every
 step's subscripts depend only on the structure and on which variables are
 observed, so they are compiled once into a plan and cached by those two
 values (at most ``PLAN_CACHE_SIZE`` plans); every plan sums out each
 unobserved variable, down to the scalar B(evidence).  A call only slices
-the CPTs by the evidence codes and replays the steps (``_replay``).
+the CPTs by the evidence codes and replays the steps (``_replay``)
+through numpy's C einsum kernel, called directly (see ``c_einsum``'s
+import).  ``marginal``, ``cond_prob``, ``family_posterior``, ``grad``
+and the fitter all replay and sweep through ``_replay`` and ``_reverse``.
 Every subscript list starts with an ellipsis, so one replay can also
 carry a leading batch axis on some registers, which the others broadcast
 against: the gradient fitter answers a whole query set in one replay of
@@ -37,6 +40,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+# np.einsum(*operands) with optimize=False, its default, returns exactly
+# c_einsum(*operands): calling the C kernel directly skips numpy's
+# array-function dispatch, which costs more than the small contractions of
+# a replay.  numpy._core exists from numpy 2.0.
+from numpy._core.multiarray import c_einsum
 
 from .network import Assignment, BayesNet, check_assignment
 
@@ -191,8 +199,8 @@ def _replay(plan: _Plan, regs: list[np.ndarray]) -> list[np.ndarray]:
     own replay.
     """
     for a, sa, b, sb, out, _ in plan.steps:
-        regs.append(np.einsum(regs[a], sa, out) if b is None
-                    else np.einsum(regs[a], sa, regs[b], sb, out))
+        regs.append(c_einsum(regs[a], sa, out) if b is None
+                    else c_einsum(regs[a], sa, regs[b], sb, out))
     return regs
 
 
@@ -215,10 +223,10 @@ def _reverse(plan: _Plan, regs: list[np.ndarray], seed: np.ndarray) -> list[np.n
         d = adj[n + k]
         if b is None:
             kept, axes = back
-            adj[a] = (d if kept == out else np.einsum(d, out, kept))[axes]
+            adj[a] = (d if kept == out else c_einsum(d, out, kept))[axes]
         else:
-            adj[a] = np.einsum(d, out, regs[b], sb, sa)
-            adj[b] = np.einsum(d, out, regs[a], sa, sb)
+            adj[a] = c_einsum(d, out, regs[b], sb, sa)
+            adj[b] = c_einsum(d, out, regs[a], sa, sb)
     return adj[:n]
 
 

@@ -46,7 +46,10 @@ as softmax of unconstrained scores, so rows sum to one by construction
 and stay strictly inside the simplex; entry gradients are chained
 through the softmax Jacobian.  The scores of all variables with the same
 arity share one stacked array, so these row-wise maps run once per
-arity.  Scores are clipped to +-``SCORE_BOUND``
+arity.  The fitter keeps the softmax rows it computed for the accepted
+candidate and chains the next gradient through them, so a fit computes
+softmax rows once per line-search round and once per restart start,
+never per gradient.  Scores are clipped to +-``SCORE_BOUND``
 and materialized rows are clamped into [eps_clamp, 1 - eps_clamp].
 Random starts draw rows from a symmetric Dirichlet(``DIRICHLET_ALPHA``);
 each restart's line search first tries ``FIRST_STEP`` and halves a step
@@ -465,30 +468,35 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _materialize(scores: Mapping[int, np.ndarray], eps: float) -> dict[int, np.ndarray]:
-    """The clamped softmax rows of every score stack, leading axes kept."""
-    return {m: clamp_row(_softmax_rows(s), eps) for m, s in scores.items()}
+def _materialize(scores: Mapping[int, np.ndarray], eps: float,
+                 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The softmax rows of every score stack and those rows clamped, leading
+    axes kept; the fitter keeps the unclamped rows for :func:`_chain_to_scores`."""
+    sm = {m: _softmax_rows(s) for m, s in scores.items()}
+    return sm, {m: clamp_row(p, eps) for m, p in sm.items()}
 
 
-def _chain_to_scores(scores: Mapping, g_entries: Mapping, eps: float) -> dict:
+def _chain_to_scores(sm: Mapping, g_entries: Mapping, eps: float) -> dict:
     """Pull an entry-space gradient back through clamp(softmax(scores)),
-    one score block at a time.
+    one score block at a time, given ``sm``, the softmax rows of the scores.
 
     Row map: entry_k = eps + (1 - m*eps) * softmax(s)_k, so
     d err / d s_j = (1 - m*eps) * sm_j * (g_j - sum_k sm_k g_k).
     """
     out = {}
-    for key, s in scores.items():
-        sm = _softmax_rows(s)
-        m = s.shape[1]
+    for key, p in sm.items():
+        m = p.shape[1]
         ge = g_entries[key]
-        inner = (sm * ge).sum(axis=1, keepdims=True)
-        out[key] = (1.0 - m * eps) * sm * (ge - inner)
+        inner = (p * ge).sum(axis=1, keepdims=True)
+        out[key] = (1.0 - m * eps) * p * (ge - inner)
     return out
 
 
-def _grad_norm(g: Mapping[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((t * t).sum()) for t in g.values())))
+def _grad_norm(layout: _Layout, g: Mapping[int, np.ndarray]) -> float:
+    """The Euclidean norm of a gradient held as stacks, its squares summed
+    variable by variable in net order."""
+    sq = {m: t * t for m, t in g.items()}
+    return float(np.sqrt(sum(float(sq[m][rows].sum()) for m, rows in layout.values())))
 
 
 def _scores_from_net(structure: BayesNet, net: BayesNet, eps: float) -> dict[str, np.ndarray]:
@@ -527,8 +535,8 @@ def _line_search(prog: _Program, scores: Mapping[int, np.ndarray],
                  g_scores: Mapping[int, np.ndarray], err: float, step: float,
                  eps: float) -> tuple | None:
     """The first of the steps ``step``, ``step/2``, ... (``MAX_HALVINGS``
-    halvings) whose error is below ``err``, as ``(t, scores, tables, err,
-    state)``, or None when every step fails.
+    halvings) whose error is below ``err``, as ``(t, scores, softmax rows,
+    tables, err, state)``, or None when every step fails.
 
     The steps are scored ``LINE_BATCH`` at a time in one batched replay
     (a round) and accepted in order, so the outcome is that of trying them
@@ -542,10 +550,11 @@ def _line_search(prog: _Program, scores: Mapping[int, np.ndarray],
         batch = np.array(ts[lo:lo + LINE_BATCH]).reshape(-1, 1, 1)
         cand = {m: np.clip(s - batch * g_scores[m], -SCORE_BOUND, SCORE_BOUND)
                 for m, s in scores.items()}
-        tables = _materialize(cand, eps)
+        sm, tables = _materialize(cand, eps)
         for j, (cand_err, state) in enumerate(_evaluate(prog, tables)):
             if cand_err < err:
-                return ts[lo + j], _pick(cand, j), _pick(tables, j), cand_err, state
+                return (ts[lo + j], _pick(cand, j), _pick(sm, j), _pick(tables, j), cand_err,
+                        state)
     return None
 
 
@@ -586,14 +595,14 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     for restart in range(opts.restarts):
         scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
             layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
-        tables = _materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
+        sm, tables = _materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
         err, state = next(_evaluate(prog, tables))
-        tables = _pick(tables, 0)
+        sm, tables = _pick(sm, 0), _pick(tables, 0)
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_scores = _chain_to_scores(scores, _grad_from_state(prog, state), opts.eps_clamp)
-            gnorm = _grad_norm(_unstack(layout, g_scores))
+            g_scores = _chain_to_scores(sm, _grad_from_state(prog, state), opts.eps_clamp)
+            gnorm = _grad_norm(layout, g_scores)
             if gnorm < opts.tol:
                 trace.append(TraceRow(restart, it, err, gnorm, 0.0, False))
                 converged = True
@@ -603,7 +612,7 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
                                   found is not None))
             if found is None:
                 break
-            t, scores, tables, err, state = found
+            t, scores, sm, tables, err, state = found
             step = t * 2.0
             if on_step is not None:
                 on_step(net_of(tables), it, err)

@@ -454,6 +454,19 @@ class TestReproCommand:
         assert main(["repro", "--id", "ex4.3", "--out", str(out), "--seed", "1",
                      "--params", '{"n": 8, "n_samples": 200, "trials": 10}']) == 1
 
+    def test_ex42_falls_back_when_the_learned_net_rules_the_evidence_out(self, tmp_path):
+        # at 50 tuples, seed 0's first trial learns an unsmoothed net that gives
+        # the evidence probability 0, and the evidence never occurs: both
+        # estimators answer 0.5, so with one trial neither wins
+        params = '{"n": 4, "sample_sizes": [50], "trials": %d}'
+        out = tmp_path / "one"
+        assert main(["repro", "--id", "ex4.2", "--out", str(out), "--params", params % 1]) == 1
+        row = json.loads((out / "ex4_2_report.json").read_text())["tables"]["curves"][0]
+        assert row["median_abs_err_structured"] == row["median_abs_err_direct"]
+        assert row["direct_undefined_rate"] == 1.0
+        assert main(["repro", "--id", "ex4.2", "--out", str(tmp_path / "two"),
+                     "--params", params % 2]) == 0
+
     def test_hoeffding_passes(self, tmp_path):
         assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),
                      "--seed", "0", "--params", '{"trials": 200}']) == 0

@@ -15,8 +15,8 @@ from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
 from querybn.inference import (_compile, answer, cond_prob, is_markov_blanket_query,
                                legal_answer)
 from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _chain_to_scores,
-                              _db_table, _family_can_affect, _layout, _materialize, _stack,
-                              _unstack)
+                              _db_table, _family_can_affect, _layout, _materialize,
+                              _softmax_rows, _stack, _unstack)
 from querybn.network import clamp_net
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
@@ -331,14 +331,14 @@ class TestGrad:
             layout = _layout(structure)
             scores = _stack(layout, {v: rng.normal(0, 0.8, structure.cpts[v].table.shape)
                                      for v in structure.names})
-            net = structure.with_tables(_unstack(layout, _materialize(scores, eps)))
-            analytic = _unstack(layout, _chain_to_scores(scores, _stack(layout, grad(net, lqs)),
-                                                         eps))
+            net = structure.with_tables(_unstack(layout, _materialize(scores, eps)[1]))
+            sm = {m: _softmax_rows(s) for m, s in scores.items()}
+            analytic = _unstack(layout, _chain_to_scores(sm, _stack(layout, grad(net, lqs)), eps))
 
             def err_at(sc):
                 from querybn.scoring import empirical_err
 
-                tables = _unstack(layout, _materialize(sc, eps))
+                tables = _unstack(layout, _materialize(sc, eps)[1])
                 return empirical_err(structure.with_tables(tables), lqs).aggregate
 
             h = 1e-5
@@ -476,6 +476,28 @@ class TestGradWorkCount:
             assert sizes == _round_sizes(fit, opts) and max(sizes) == LINE_BATCH
             assert passes == {"_replay": len(sizes), "_reverse": len(fit.trace)}
 
+    def test_a_fit_runs_softmax_once_per_replay_never_per_gradient(self, passes, monkeypatch):
+        # a gradient chains through the softmax rows its candidate's round
+        # already computed, so the softmax runs once per arity stack for
+        # each restart start and each line-search round, the fit's replays
+        import querybn.learning as learning
+
+        calls = {"n": 0}
+        real = learning._softmax_rows
+
+        def counting(scores):
+            calls["n"] += 1
+            return real(scores)
+
+        monkeypatch.setattr(learning, "_softmax_rows", counting)
+        rng = np.random.default_rng(67)
+        structure = random_net(rng, n_vars=8, arities=(2, 3), max_parents=3)
+        stacks = len({structure.arity(v) for v in structure.names})
+        lqs = _general_queries(rng, structure, 4) + _blanket_queries(rng, structure, 2)
+        fit = fit_cpt(structure, lqs, FitOptions(restarts=2, max_iters=15, seed=0))
+        assert stacks == 2 and passes["_reverse"] == len(fit.trace) > 0
+        assert calls["n"] == stacks * passes["_replay"]
+
     def test_a_fit_builds_a_net_only_for_on_step_and_its_result(self, passes, monkeypatch):
         # trials are tables: with_tables runs once per on_step call and once
         # for the returned net, and a mixed set is fitted without answer,
@@ -537,8 +559,9 @@ class TestGradWorkCount:
 
 def _sequential_fit(structure, qs, opts, on_step=None):
     """:func:`fit_cpt` as it ran before line-search rounds were batched: one
-    replay per trial, the step halved after each failed trial.  The
-    reference the rounds must match bit for bit."""
+    replay per trial, the step halved after each failed trial, the softmax
+    rows recomputed from the scores for each gradient and the norm summed
+    per variable.  The reference the rounds must match bit for bit."""
     import querybn.learning as L
 
     rng = np.random.default_rng(opts.seed)
@@ -547,7 +570,7 @@ def _sequential_fit(structure, qs, opts, on_step=None):
     trace, best = [], None
 
     def trial(scores):
-        tables = L._materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
+        _, tables = L._materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
         err, state = next(L._evaluate(prog, tables))
         return L._pick(tables, 0), err, state
 
@@ -561,9 +584,10 @@ def _sequential_fit(structure, qs, opts, on_step=None):
         step = FIRST_STEP
         converged = False
         for it in range(1, opts.max_iters + 1):
-            g_scores = _chain_to_scores(scores, L._grad_from_state(prog, state),
-                                        opts.eps_clamp)
-            gnorm = L._grad_norm(_unstack(layout, g_scores))
+            sm = {m: _softmax_rows(s) for m, s in scores.items()}
+            g_scores = _chain_to_scores(sm, L._grad_from_state(prog, state), opts.eps_clamp)
+            gnorm = float(np.sqrt(sum(float((t * t).sum())
+                                      for t in _unstack(layout, g_scores).values())))
             if gnorm < opts.tol:
                 trace.append(L.TraceRow(restart, it, err, gnorm, 0.0, False))
                 converged = True

@@ -1,0 +1,94 @@
+"""Print one sha256 per fitting case, to check that a change to the fitter
+or the inference engine keeps every bit of its results.
+
+    python3 tools/fit_fingerprint.py > before.txt
+    # change the library, then
+    python3 tools/fit_fingerprint.py | diff before.txt -
+
+It imports the library from the ``src`` directory next to this script.
+The cases are the qfit benchmark's fits for seeds 61-63 and passes 0-7
+(query sets and options read from ``perfbench/workloads.py``), 12 random
+mixed sets of general and blanket queries, the ex4.1 fit, and ``grad`` on
+60 random nets.  A fit's digest covers its trace (floats as hex), the
+fitted tables' bytes, ``err``, ``restart``, ``converged`` and every net
+``on_step`` received; a gradient's covers each array's bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import querybn as qb  # noqa: E402
+from querybn.experiments import ex41_labeled_queries, ex41_structure  # noqa: E402
+from querybn.random_nets import random_blanket_query, random_net, random_query  # noqa: E402
+from workloads import QFit  # noqa: E402
+
+QFIT_SEEDS = (61, 62, 63)
+QFIT_PASSES = 8
+
+
+def _tables(net: qb.BayesNet) -> list[bytes]:
+    return [net.cpts[v].table.tobytes() for v in net.names]
+
+
+def _fit_digest(structure, lqs, opts, weights=None) -> str:
+    steps = []
+    fit = qb.fit_cpt(structure, lqs, opts, weights=weights,
+                     on_step=lambda net, it, err: steps.append((it, err.hex(), _tables(net))))
+    trace = [(r.restart, r.iteration, r.err.hex(), r.grad_norm.hex(), r.step.hex(), r.accepted)
+             for r in fit.trace]
+    doc = (trace, _tables(fit.net), fit.err.hex(), fit.restart, fit.converged, steps)
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+def _mixed(rng, net, n_general: int, n_blanket: int) -> list[qb.LabeledQuery]:
+    """``n_general`` non-blanket and ``n_blanket`` blanket queries, randomly labeled."""
+    qs = []
+    while len(qs) < n_general:
+        q = random_query(rng, net, max_target=2, max_evidence=3)
+        if not qb.is_markov_blanket_query(net, q):
+            qs.append(q)
+    qs += [random_blanket_query(rng, net) for _ in range(n_blanket)]
+    return [qb.LabeledQuery(q, float(rng.random())) for q in qs]
+
+
+def cases():
+    """(name, digest) for every case, in a fixed order."""
+    qfit = QFit()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in QFIT_SEEDS:
+            state = qfit.setup(seed, Path(tmp))
+            for index in range(QFIT_PASSES):
+                _, lqs = state["sets"][index % len(state["sets"])]
+                opts = qb.FitOptions(restarts=qfit.RESTARTS, max_iters=qfit.MAX_ITERS, seed=index)
+                yield f"qfit seed {seed} pass {index}", _fit_digest(state["structure"], lqs, opts)
+    rng = np.random.default_rng(65)
+    for i in range(12):
+        structure = random_net(rng, n_vars=7, arities=(2, 3, 4), max_parents=3)
+        lqs = _mixed(rng, structure, 3, 3)
+        weights = list(rng.uniform(0.1, 2.0, len(lqs))) if i % 2 else None
+        opts = qb.FitOptions(restarts=2, max_iters=80, seed=i)
+        yield f"mixed set {i}", _fit_digest(structure, lqs, opts, weights)
+    yield "ex4.1", _fit_digest(ex41_structure(), ex41_labeled_queries(),
+                               qb.FitOptions(restarts=10, max_iters=2000, seed=0))
+    rng = np.random.default_rng(66)
+    for i in range(60):
+        net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
+                         max_parents=int(rng.integers(1, 4)), interior=0.05)
+        lqs = _mixed(rng, net, 3, 2)
+        g = qb.grad(net, lqs, weights=list(rng.uniform(0.1, 2.0, len(lqs))))
+        digest = hashlib.sha256(b"".join(g[v].tobytes() for v in net.names)).hexdigest()
+        yield f"grad net {i}", digest
+
+
+if __name__ == "__main__":
+    for name, digest in cases():
+        print(f"{digest}  {name}")
