@@ -79,26 +79,6 @@ def _consistent(a: Assignment, b: Assignment) -> bool:
     return all(b[k] == v for k, v in a.items() if k in b)
 
 
-def _min_degree_order(scopes: list[tuple[str, ...]], elim: set[str], rank: Mapping[str, int]) -> list[str]:
-    """Greedy min-degree ordering on the interaction graph of the scopes."""
-    neighbors: dict[str, set[str]] = {v: set() for sc in scopes for v in sc}
-    for sc in scopes:
-        for v in sc:
-            neighbors[v].update(u for u in sc if u != v)
-    remaining = set(elim)
-    order: list[str] = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(neighbors.get(u, set()) & set(neighbors)), rank[u]))
-        order.append(v)
-        nbrs = neighbors.pop(v, set())
-        remaining.discard(v)
-        for u in nbrs:
-            if u in neighbors:
-                neighbors[u].discard(v)
-                neighbors[u].update(w for w in nbrs if w != u and w in neighbors)
-    return order
-
-
 # (a, subscripts of a, b or None, subscripts of b, output subscripts, reverse-pass data);
 # every subscript tuple starts with Ellipsis, which stands for an optional batch axis
 _Sub = tuple
@@ -134,11 +114,15 @@ def _compile(signature: tuple, observed: frozenset[str]) -> _Plan:
     """The plan that sums every variable outside ``observed``, down to the
     scalar B(evidence).
 
-    The steps are the pairwise einsum calls, subscripts included, that
-    eliminating the variables in min-degree order makes, so replaying them
-    gives the same bits as eliminating afresh.  A contraction starts from
-    its first factor itself, not from a product with the scalar 1, which
-    is exact.  Each contraction numbers only its own variables, since
+    The order is greedy min-degree, read off the live factors: each next
+    variable is the one that shares a factor with the fewest others, ties
+    going to the earliest in net order.  Its factors are then contracted
+    into one over their other variables, which joins those variables as
+    neighbours for the next choice.  The steps are the pairwise einsum
+    calls, subscripts included, that this elimination makes, so replaying
+    them gives the same bits as eliminating afresh.  A contraction starts
+    from its first factor itself, not from a product with the scalar 1,
+    which is exact.  Each contraction numbers only its own variables, since
     einsum subscripts lie in [0, 52); a leading ``...`` in every subscript
     list leaves the bits of unbatched replays unchanged.
     """
@@ -168,9 +152,14 @@ def _compile(signature: tuple, observed: frozenset[str]) -> _Plan:
         return n + len(steps) - 1
 
     factors = [(tuple(s for s in fam if s not in observed), i) for i, fam in enumerate(families)]
-    rank = {v: i for i, (v, _, _) in enumerate(signature)}
-    elim = {v for v in rank if v not in observed}
-    for v in _min_degree_order([sc for sc, _ in factors], elim, rank):
+    elim = [v for v, _, _ in signature if v not in observed]
+    while elim:
+        near: dict[str, set[str]] = {}
+        for sc, _ in factors:
+            for u in sc:
+                near.setdefault(u, set()).update(sc)
+        v = min(elim, key=lambda u: len(near[u]))
+        elim.remove(v)
         touching = [f for f in factors if v in f[0]]
         scope = tuple(u for u in dict.fromkeys(u for sc, _ in touching for u in sc) if u != v)
         factors = [f for f in factors if v not in f[0]] + [(scope, contract(touching, scope))]

@@ -318,6 +318,14 @@ class BayesNet:
 def _bayes_ball(net: BayesNet, sources: Iterable[str], observed: set[str]) -> tuple[set[str], set[str]]:
     """Shachter's Bayes-ball pass from ``sources`` given ``observed``.
 
+    The ball arrives at a node from a child (each source counts as one) or
+    from a parent, and obeys two rules.  It passes up to the node's
+    parents, top-marking the node, when the node is observed and the ball
+    came from a parent, or unobserved and the ball came from a child:
+    ``(node in observed) != from_child``.  It passes down to the node's
+    children, bottom-marking the node, when the node is unobserved.  Each
+    mark is set once, so each node sends the ball each way at most once.
+
     Returns ``(top, bottom)`` marks.  A node is reachable through an active
     trail iff it carries either mark; the CPT of a node can influence the
     conditional of the sources given the observations iff the node is
@@ -328,23 +336,13 @@ def _bayes_ball(net: BayesNet, sources: Iterable[str], observed: set[str]) -> tu
     agenda: deque[tuple[str, bool]] = deque((s, True) for s in sources)  # True = arrived from a child
     while agenda:
         node, from_child = agenda.popleft()
-        if from_child:
-            if node in observed:
-                continue
-            if node not in top:
-                top.add(node)
-                agenda.extend((p, True) for p in net.parents(node))
-            if node not in bottom:
-                bottom.add(node)
-                agenda.extend((c, False) for c in net.children(node))
-        else:
-            if node in observed:
-                if node not in top:
-                    top.add(node)
-                    agenda.extend((p, True) for p in net.parents(node))
-            elif node not in bottom:
-                bottom.add(node)
-                agenda.extend((c, False) for c in net.children(node))
+        seen = node in observed
+        if seen != from_child and node not in top:
+            top.add(node)
+            agenda.extend((p, True) for p in net.parents(node))
+        if not seen and node not in bottom:
+            bottom.add(node)
+            agenda.extend((c, False) for c in net.children(node))
     return top, bottom
 
 

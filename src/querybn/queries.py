@@ -2,15 +2,16 @@
 
 A statistical query asks "p(X = x | Y = y) = ?" for disjoint partial
 assignments x (the target) and y (the evidence, possibly empty).  A query
-distribution is a normalized weighted set of ground queries; patterns
-expand into ground queries by enumerating every assignment of their
-unpinned variables with equal weight.
+distribution is a weighted set of ground queries whose weights total 1;
+patterns expand into ground queries by enumerating every assignment of
+their unpinned variables with equal weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -82,10 +83,20 @@ class LabeledQuery:
 
 
 def _query_weights(n: int, weights: Sequence[float] | None) -> list[float]:
-    """The weights of ``n`` queries as floats, ``1/n`` each when None."""
-    if weights is not None and len(weights) != n:
+    """The weights of ``n`` queries as floats, ``1/n`` each when None.
+
+    A weight must be finite and non-negative; zero leaves its query out of
+    every sum.  The first weight that is not raises ``ValueError``.
+    """
+    if weights is None:
+        return [1.0 / n] * n
+    if len(weights) != n:
         raise ValueError("weights must match queries")
-    return [1.0 / n] * n if weights is None else [float(w) for w in weights]
+    out = [float(w) for w in weights]
+    for k, w in enumerate(out):
+        if not 0.0 <= w < math.inf:
+            raise ValueError(f"query weight {k} must be finite and non-negative, got {w}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,14 +154,14 @@ Atom = tuple[StatQuery, float] | tuple[StatQuery, float, float | None]
 
 
 class QueryDistribution:
-    """Normalized weighted set of distinct ground queries, optionally labeled.
+    """Weighted set of distinct ground queries, optionally labeled.
 
     Atoms are ``(query, weight)`` or ``(query, weight, label)`` with label
     ``None`` meaning unlabeled; a label must lie in [0, 1].  Duplicate
     queries are merged by summing their weights; their labels must agree
-    within ``1e-12``.  Weights must total 1 within ``1e-6``; each is then
-    divided by their float total, which need not make them sum to exactly
-    1.0.
+    within ``1e-12``.  Each weight must be positive and finite, and the
+    weights must total 1 within ``1e-6``; they are kept as given, so a
+    uniform set of ``n`` atoms carries exactly ``1/n`` each.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -158,8 +169,8 @@ class QueryDistribution:
         for atom in atoms:
             q, w, lab = atom if len(atom) == 3 else (*atom, None)
             w = float(w)
-            if w <= 0:
-                raise ValueError(f"query weight must be positive, got {w} for {q.id()}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"query weight must be positive and finite, got {w} for {q.id()}")
             lab = None if lab is None else float(lab)
             if lab is not None and not 0.0 <= lab <= 1.0:
                 raise ValueError(f"label must be a probability, got {lab} for {q.id()}")
@@ -173,7 +184,7 @@ class QueryDistribution:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"query weights sum to {total:.8g}, not 1")
         self.atoms: tuple[tuple[StatQuery, float], ...] = tuple(
-            (q, w / total) for q, (w, _) in merged.items())
+            (q, w) for q, (w, _) in merged.items())
         self.labels: tuple[float | None, ...] = tuple(lab for _, lab in merged.values())
 
     @classmethod
@@ -193,7 +204,9 @@ class QueryDistribution:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw atom(s) proportional to weight; deterministic given the
         generator state."""
-        idx = rng.choice(len(self.atoms), size=size, p=self.weights())
+        # rng.choice wants p to total 1 far more tightly than WEIGHT_TOL
+        total = sum(w for _, w in self.atoms)
+        idx = rng.choice(len(self.atoms), size=size, p=self.weights() / total)
         if size is None:
             return self.atoms[int(idx)][0]
         return [self.atoms[i][0] for i in np.asarray(idx)]

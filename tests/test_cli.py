@@ -100,6 +100,37 @@ class TestEvalCommand:
             net, [q for q, _ in ex41_distribution().atoms], load_dataset(dpath, net))
         assert doc["aggregate"] == lib.aggregate  # bit-exact parity
 
+    def test_data_mode_on_a_uniform_six_atom_file_uses_one_sixth_each(self, ex41_files,
+                                                                       tmp_path):
+        # the file's weights are kept as written, so 1/6 stays 1/6 and the
+        # aggregate equals the library's unweighted mean bit for bit
+        qs = [StatQuery({t: "1"}, {e: v}) for t, e in (("C", "A"), ("X", "A"), ("C", "X"))
+              for v in "01"]
+        qpath = tmp_path / "q.json"
+        save_queries(qpath, [(q, 1 / 6) for q in qs])
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 2000, seed=5), dpath)
+        out = ex41_files["out"]
+        assert main(["eval", "--net", str(ex41_files["bp"]), "--queries", str(qpath),
+                     "--data", str(dpath), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+
+        from querybn import empirical_err_from_events
+
+        net = load_net(ex41_files["bp"])
+        lib = empirical_err_from_events(net, qs, load_dataset(dpath, net))
+        assert doc["aggregate"] == lib.aggregate
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_a_non_finite_weight_exits_two(self, ex41_files, tmp_path, capsys, weight):
+        qpath = tmp_path / "q.json"
+        save_queries(qpath, [(StatQuery({"C": "1"}, {"A": "1"}), weight),
+                             (StatQuery({"C": "1"}, {"A": "0"}), 0.5)])
+        assert main(["eval", "--net", str(ex41_files["bp"]), "--queries", str(qpath),
+                     "--truth", str(ex41_files["truth"]), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse query file" in err and "P(C=1 | A=1)" in err
+
     def test_without_reference_exits_two(self, ex41_files):
         assert main(["eval", "--net", str(ex41_files["bp"]),
                      "--queries", str(ex41_files["queries"]),

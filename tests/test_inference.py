@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from querybn import BayesNet, Dag, StatQuery, ZeroEvidence
-from querybn.experiments import ex41_bp, ex41_bsq, ex42_query, ex42_truth
+from querybn.experiments import ex41_bp, ex41_bsq, ex42_query, ex42_truth, ex43_truth
 from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile, _forward,
                                _replay, _value_and_grad, answer, cond_prob, enumerate_marginal,
                                family_posterior, is_markov_blanket_query, marginal,
@@ -118,6 +118,21 @@ def _random_evidence(rng, net, max_size=4):
             for i in rng.choice(len(names), size=k, replace=False)}
 
 
+def _summed_out(plan, observed):
+    """The variables a plan's sum steps remove, in step order, read back
+    from each step's subscripts."""
+    scopes = [tuple(f for f in fam if f not in observed) for fam in plan.families]
+    order = []
+    for a, sa, b, sb, out, _ in plan.steps:
+        names = dict(zip(sa[1:], scopes[a]))
+        if b is not None:
+            names.update(zip(sb[1:], scopes[b]))
+        scopes.append(tuple(names[i] for i in out[1:]))
+        if b is None:
+            order += [v for v in scopes[a] if v not in scopes[-1]]
+    return order
+
+
 def _unnormalized(rng, net):
     """The same structure with rows that do not sum to one."""
     return net.with_tables({v: net.cpts[v].table * rng.uniform(0.5, 1.5, net.cpts[v].table.shape)
@@ -150,6 +165,33 @@ class TestPlans:
             for v in a.names:
                 family_posterior(b, v, e)
         assert _compile.cache_info().misses == compiled
+
+    def test_elimination_order_and_wiring_are_pinned(self):
+        # greedy min-degree with ties going to the earliest variable in net
+        # order; ex42_truth(5) sums out C before A5 on a tie, and breaking
+        # the random net's six ties the other way would change its order
+        rng = np.random.default_rng(0)
+        net = random_net(rng, n_vars=12, arities=(2, 3), max_parents=3)
+        observed = frozenset(str(v) for v in rng.choice(net.names, size=3, replace=False))
+        assert observed == {"V1", "V7", "V9"}
+        cases = [
+            (chain_net(), frozenset(), ["A", "X", "C"],
+             [(0, 1), (3, None), (2, 4), (5, None), (6, None), (7, None)]),
+            (ex42_truth(5), frozenset(), ["A1", "A2", "A3", "A4", "C", "A5"],
+             [(1, None), (2, None), (3, None), (4, None), (0, 5), (10, 6), (11, 7), (12, 8),
+              (13, 9), (14, None), (15, None), (16, None)]),
+            (ex43_truth(4), frozenset(), ["A1", "A2", "A3", "A4", "C"],
+             [(0, 4), (5, None), (1, 6), (7, None), (2, 8), (9, None), (3, 10), (11, None),
+              (12, None), (13, None)]),
+            (net, observed, ["V5", "V2", "V10", "V6", "V3", "V0", "V4", "V8", "V11"],
+             [(5, 9), (12, None), (2, 10), (14, None), (15, None), (6, 8), (17, 16), (18, None),
+              (3, 19), (20, None), (0, 1), (22, 11), (23, 21), (24, None), (4, 13), (26, 25),
+              (27, None), (28, None), (29, None), (7, 30), (31, None)]),
+        ]
+        for net, observed, order, wiring in cases:
+            plan = _compile(net.signature(), observed)
+            assert _summed_out(plan, observed) == order
+            assert [(a, b) for a, _, b, *_ in plan.steps] == wiring
 
     def test_cache_hit_is_bit_identical_to_a_cold_plan(self):
         rng = np.random.default_rng(26)

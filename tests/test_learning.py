@@ -863,3 +863,39 @@ class TestFitFromEvents:
                 truth, [{"C": "1", "X": "1"}], per, seed=1000 + s)))
         ratio = np.mean(totals_quarter) / np.mean(totals_half)
         assert 1.5 < ratio < 2.6  # expected 2, Monte-Carlo slack
+
+
+class TestQueryWeights:
+    """Every weighted path reads its weights through one rule: finite and
+    non-negative, zero allowed."""
+
+    @staticmethod
+    def _paths(weights):
+        from querybn.scoring import empirical_err
+
+        lqs = ex41_labeled_queries()
+        opts = FitOptions(restarts=1, max_iters=20, seed=0)
+        return {
+            "fit_cpt": lambda: fit_cpt(ex41_structure(), lqs, opts, weights=weights),
+            "grad": lambda: grad(ex41_bp(), lqs, weights=weights),
+            "empirical_err": lambda: empirical_err(ex41_bp(), lqs, weights),
+        }
+
+    @pytest.mark.parametrize("weights, shown", [([-1.0, 2.0], "0 .* -1.0"),
+                                                ([1.0, math.nan], "1 .* nan"),
+                                                ([math.inf, 1.0], "0 .* inf")])
+    @pytest.mark.parametrize("path", ["fit_cpt", "grad", "empirical_err"])
+    def test_a_negative_or_non_finite_weight_is_rejected(self, path, weights, shown):
+        with pytest.raises(ValueError, match=f"query weight {shown}"):
+            self._paths(weights)[path]()
+
+    def test_a_zero_weight_leaves_its_query_out(self):
+        from querybn.scoring import empirical_err
+
+        lqs = ex41_labeled_queries()
+        paths = self._paths([0.0, 1.0])
+        assert paths["empirical_err"]().aggregate == empirical_err(ex41_bp(), lqs[1:]).aggregate
+        g = paths["grad"]()
+        g1 = grad(ex41_bp(), lqs[1:])
+        assert all(np.array_equal(g[v], g1[v]) for v in g1)
+        assert math.isfinite(paths["fit_cpt"]().err)

@@ -106,11 +106,28 @@ class TestQueryDistribution:
             QueryDistribution([(StatQuery({"A": "1"}), 0.0), (StatQuery({"A": "0"}), 1.0)])
 
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QueryDistribution([(StatQuery({"A": "1"}), weight), (StatQuery({"A": "0"}), 0.5)])
+
+    @pytest.mark.parametrize("n", [2, 6, 7, 12, 50])
+    def test_uniform_weights_are_kept_as_written(self, n):
+        dist = QueryDistribution.uniform([StatQuery({f"A{i}": "1"}) for i in range(n)])
+        assert [w for _, w in dist.atoms] == [1.0 / n] * n
+
+
 class TestSampleQuery:
     def test_single_atom_always_returned(self):
         q = StatQuery({"A": "1"})
         dist = QueryDistribution([(q, 1.0)])
         assert all(dist.sample(np.random.default_rng(s)) == q for s in range(5))
+
+    def test_weights_kept_off_one_by_less_than_the_tolerance_still_sample(self):
+        dist = QueryDistribution([(StatQuery({"A": "1"}), 0.5 + 5e-7),
+                                  (StatQuery({"A": "0"}), 0.5)])
+        assert dist.weights().sum() == 1.0 + 5e-7
+        assert len(dist.sample(np.random.default_rng(0), size=10)) == 10
 
     def test_two_atom_frequencies(self):
         dist = QueryDistribution.uniform([StatQuery({"A": "1"}), StatQuery({"A": "0"})])

@@ -1,5 +1,6 @@
-"""Print one sha256 per fitting case, to check that a change to the fitter
-or the inference engine keeps every bit of its results.
+"""Print one sha256 per fitting case and per compiled elimination plan, to
+check that a change to the fitter or the inference engine keeps every bit
+of its results.
 
     python3 tools/fit_fingerprint.py > before.txt
     # change the library, then
@@ -8,10 +9,14 @@ or the inference engine keeps every bit of its results.
 It imports the library from the ``src`` directory next to this script.
 The cases are the qfit benchmark's fits for seeds 61-63 and passes 0-7
 (query sets and options read from ``perfbench/workloads.py``), 12 random
-mixed sets of general and blanket queries, the ex4.1 fit, and ``grad`` on
-60 random nets.  A fit's digest covers its trace (floats as hex), the
+mixed sets of general and blanket queries, the ex4.1 fit, ``grad`` on
+60 random nets, and the plans ``inference._compile`` makes for 2,000
+random structures of 1-15 variables and 150 of 20-70 variables (arities
+2-4, random observed sets), ``ex42_truth(100)``, ``ex42_truth(400)`` and
+``ex43_truth(10)``.  A fit's digest covers its trace (floats as hex), the
 fitted tables' bytes, ``err``, ``restart``, ``converged`` and every net
-``on_step`` received; a gradient's covers each array's bytes.
+``on_step`` received; a gradient's covers each array's bytes; a plan's
+covers its steps, families and shapes.
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import querybn as qb  # noqa: E402
-from querybn.experiments import ex41_labeled_queries, ex41_structure  # noqa: E402
-from querybn.random_nets import random_blanket_query, random_net, random_query  # noqa: E402
+from querybn.experiments import (ex41_labeled_queries, ex41_structure, ex42_truth,  # noqa: E402
+                                 ex43_truth)
+from querybn.inference import _compile  # noqa: E402
+from querybn.random_nets import (random_blanket_query, random_dag, random_net,  # noqa: E402
+                                 random_query)
 from workloads import QFit  # noqa: E402
 
 QFIT_SEEDS = (61, 62, 63)
@@ -60,6 +68,22 @@ def _mixed(rng, net, n_general: int, n_blanket: int) -> list[qb.LabeledQuery]:
     return [qb.LabeledQuery(q, float(rng.random())) for q in qs]
 
 
+def _plan_digest(signature, observed) -> str:
+    plan = _compile(signature, frozenset(observed))
+    doc = (plan.steps, plan.families, plan.shapes)
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+def _random_signature(rng, n_vars: int):
+    """A random structure's signature (1-3 parents, arities 2-4) and a
+    random observed subset of its variables."""
+    dag = random_dag(rng, n_vars, int(rng.integers(1, 4)))
+    signature = tuple((v, int(rng.choice((2, 3, 4))), dag.parents[v]) for v in dag.nodes)
+    share = rng.random()
+    observed = [v for v in dag.nodes if rng.random() < share]
+    return signature, observed
+
+
 def cases():
     """(name, digest) for every case, in a fixed order."""
     qfit = QFit()
@@ -87,6 +111,14 @@ def cases():
         g = qb.grad(net, lqs, weights=list(rng.uniform(0.1, 2.0, len(lqs))))
         digest = hashlib.sha256(b"".join(g[v].tobytes() for v in net.names)).hexdigest()
         yield f"grad net {i}", digest
+    rng = np.random.default_rng(67)
+    for size, count, low, high in (("small", 2000, 1, 15), ("large", 150, 20, 70)):
+        for i in range(count):
+            signature, observed = _random_signature(rng, int(rng.integers(low, high + 1)))
+            yield f"plan {size} {i}", _plan_digest(signature, observed)
+    for name, net in (("ex42_truth(100)", ex42_truth(100)), ("ex42_truth(400)", ex42_truth(400)),
+                      ("ex43_truth(10)", ex43_truth(10))):
+        yield f"plan {name}", _plan_digest(net.signature(), ())
 
 
 if __name__ == "__main__":
