@@ -113,7 +113,8 @@ def cmd_eval(args) -> int:
 
 def _fit_options(args, structure: BayesNet) -> FitOptions:
     try:
-        opts = FitOptions(init=args.init, restarts=args.restarts, max_iters=args.max_iters,
+        init = structure if args.init == "net" else args.init
+        opts = FitOptions(init=init, restarts=args.restarts, max_iters=args.max_iters,
                           tol=args.tol, eps_clamp=args.clamp, seed=args.seed)
         opts.check_arities(structure)
         return opts
@@ -156,7 +157,7 @@ def cmd_learn(args) -> int:
     except ValueError as exc:  # ZeroEvidence and UnmatchedEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)
     weights = dist.weights()
-    result = fit_cpt(structure, labeled, opts, weights=weights, init_net=structure)
+    result = fit_cpt(structure, labeled, opts, weights=weights)
     violations = validate(result.net)
     if violations:  # fitted nets are clamped by construction; this is a safety net
         raise _CliError("fitted net failed validation: " + "; ".join(violations), DOMAIN_ERROR)

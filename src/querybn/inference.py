@@ -245,22 +245,22 @@ def marginal(net: BayesNet, a: Assignment) -> float:
     return float(_forward(net, a)[2][-1])
 
 
-def enumerate_marginal(net: BayesNet, a: Assignment, *, cap: int = DEFAULT_ENUM_CAP) -> float:
+def enumerate_marginal(net: BayesNet, a: Assignment) -> float:
     """Exact sum over all completions of ``a`` by full enumeration.
 
-    Test oracle only; refuses nets whose joint exceeds ``2**cap`` states.
+    Test oracle only; refuses nets of over ``2**DEFAULT_ENUM_CAP`` states.
     """
     check_assignment(net, a)
-    joint = enumerate_joint(net, cap=cap)
+    joint = enumerate_joint(net)
     index = tuple(net.code(v, a[v]) if v in a else slice(None) for v in net.names)
     return float(np.sum(joint[index]))
 
 
-def enumerate_joint(net: BayesNet, *, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def enumerate_joint(net: BayesNet) -> np.ndarray:
     """Full joint table with one axis per variable (net order)."""
-    if net.state_count() > 2 ** cap:
+    if net.state_count() > 2 ** DEFAULT_ENUM_CAP:
         raise EnumerationCapExceeded(
-            f"joint has {net.state_count()} states; enumeration cap is 2**{cap}")
+            f"joint has {net.state_count()} states; enumeration cap is 2**{DEFAULT_ENUM_CAP}")
     n = len(net.names)
     pos = {v: i for i, v in enumerate(net.names)}
     joint = np.ones(tuple(v.arity for v in net.variables))

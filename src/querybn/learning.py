@@ -59,6 +59,7 @@ at most ``MAX_HALVINGS`` times before the restart stalls.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -67,7 +68,7 @@ import numpy as np
 from . import bounds
 from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_prob,
                         family_posterior, is_markov_blanket_query, mb_posterior)
-from .network import BayesNet, EntryId, clamp_row, d_separated
+from .network import BayesNet, EntryId, _bayes_ball, clamp_row
 from .queries import LabeledQuery, StatQuery, _query_weights, label_from_data
 from .sampling import Dataset, collect_until_matched
 
@@ -110,17 +111,14 @@ def ofe(structure: BayesNet, data: Dataset, alpha: float = 0.0) -> BayesNet:
 # -- analytic gradients ------------------------------------------------------------
 
 
-def _family_can_affect(b: BayesNet, v: str, q: StatQuery) -> bool:
-    """False only when the derivative of B(target|evidence) with respect to
-    every entry of ``v``'s CPT is identically zero: the entry's family is
-    either fully fixed by the evidence or d-separated from the target."""
-    fam = {v, *b.parents(v)}
-    if fam & q.target.keys():
-        return True
-    free = fam - q.evidence.keys()
-    if not free:
-        return False
-    return not d_separated(b, free, set(q.target), set(q.evidence))
+def _can_affect(b: BayesNet, q: StatQuery) -> dict[str, bool]:
+    """Per variable, in net order, False only when B(target|evidence) has an
+    identically zero derivative in every entry of its CPT: its family is fully
+    fixed by the evidence or d-separated from the target.  One Bayes-ball pass
+    from the targets decides all: it bottom-marks every target, no observed
+    node, and each unobserved node an active trail reaches."""
+    _, bottom = _bayes_ball(b, q.target, set(q.evidence))
+    return {v: v in bottom or any(p in bottom for p in b.parents(v)) for v in b.names}
 
 
 def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
@@ -147,7 +145,7 @@ def _check_positive(b: BayesNet, v: str) -> None:
 def db_dentry(b: BayesNet, q: StatQuery, e: EntryId) -> float:
     """Derivative of the answered conditional with respect to one raw CPT
     entry, holding all other entries fixed."""
-    if not _family_can_affect(b, e.var, q):
+    if not _can_affect(b, q)[e.var]:
         return 0.0
     B = cond_prob(b, q.target, q.evidence)
     return float(_db_table(b, e.var, q, B)[e.row, e.value])
@@ -256,8 +254,8 @@ class _Program:
     """A query set as one batch over the evidence-free plan, and the one owner
     of its ``(Q,)`` ``labels`` and ``weights``, each query's ``evidence`` (for
     :class:`ZeroEvidence`) and ``affected[k, i]``: whether query ``k`` can
-    affect the CPT at net position ``i`` (:func:`_family_can_affect`, run once
-    per role of target and evidence variables).  Query ``k`` owns batch rows
+    affect the CPT at net position ``i`` (:func:`_can_affect`, run once per
+    role of target and evidence variables).  Query ``k`` owns batch rows
     ``2k`` (its evidence) and ``2k + 1`` (its evidence and target).
     ``lam[i]`` holds, for each row, the 0/1 indicator of variable ``i``'s
     observed value (all ones where the row leaves it free), shaped to
@@ -282,6 +280,8 @@ class _Program:
 
 def _program(b: BayesNet, qs: Sequence[LabeledQuery],
              weights: Sequence[float] | None = None) -> _Program:
+    """Compile ``qs`` on ``b``'s structure into a :class:`_Program`, with one
+    :func:`_can_affect` pass per role; reads no CPT value."""
     pos, rows = {v: i for i, v in enumerate(b.names)}, 2 * len(qs)
     weights = np.array(_query_weights(len(qs), weights))
     # value codes of each query's evidence and evidence-and-target rows, -1 if free
@@ -293,7 +293,7 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
             codes[k, int(v in q.target):, pos[v]] = b.code(v, val)
         role = (frozenset(q.target), frozenset(q.evidence))
         if role not in roles:
-            roles[role] = [_family_can_affect(b, v, q) for v in b.names]
+            roles[role] = list(_can_affect(b, q).values())
         affected.append(roles[role])
     affected = np.array(affected, dtype=bool)
     plan = _compile(b.signature(), frozenset())
@@ -397,17 +397,17 @@ def flatten_grad(b: BayesNet, g: Mapping[str, np.ndarray]) -> dict[EntryId, floa
 class FitOptions:
     """Knobs for :func:`fit_cpt`.
 
-    ``init`` selects the first restart's starting point: ``"uniform"``,
-    ``"dirichlet"`` (symmetric, ``DIRICHLET_ALPHA``) or ``"net"`` (the
-    tables of ``fit_cpt``'s ``init_net``; pass ``ofe(structure, data,
-    alpha=1.0)`` there to start from observed frequencies).  Restarts after
+    ``init`` is the first restart's starting point: ``"dirichlet"``
+    (symmetric, ``DIRICHLET_ALPHA``), ``"uniform"`` or a :class:`BayesNet` of
+    the fitted structure whose tables it starts from (pass ``ofe(structure,
+    data, alpha=1.0)`` to start from observed frequencies).  Restarts after
     the first always draw fresh Dirichlet rows, since deterministic inits
     would just repeat themselves.  The first line-search step, the halving
     limit, the round size and the score clip are the module constants
     ``FIRST_STEP``, ``MAX_HALVINGS``, ``LINE_BATCH`` and ``SCORE_BOUND``.
     """
 
-    init: str = "dirichlet"
+    init: str | BayesNet = "dirichlet"
     restarts: int = 5
     max_iters: int = 200
     tol: float = 1e-8
@@ -415,7 +415,7 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.init not in ("uniform", "dirichlet", "net"):
+        if not isinstance(self.init, BayesNet) and self.init not in ("uniform", "dirichlet"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
@@ -514,16 +514,14 @@ def _scores_from_net(structure: BayesNet, net: BayesNet, eps: float) -> dict[str
 
 
 def _initial_scores(structure: BayesNet, opts: FitOptions, restart: int,
-                    rng: np.random.Generator, init_net: BayesNet | None) -> dict[str, np.ndarray]:
+                    rng: np.random.Generator) -> dict[str, np.ndarray]:
     shapes = {v: structure.cpts[v].table.shape for v in structure.names}
     if restart > 0 or opts.init == "dirichlet":
         return {v: np.log(rng.dirichlet([DIRICHLET_ALPHA] * shape[1], size=shape[0]))
                 for v, shape in shapes.items()}
     if opts.init == "uniform":
         return {v: np.zeros(shape) for v, shape in shapes.items()}
-    if init_net is None:
-        raise ValueError("init='net' requires init_net")
-    return _scores_from_net(structure, init_net, opts.eps_clamp)
+    return _scores_from_net(structure, opts.init, opts.eps_clamp)
 
 
 def _pick(stacks: Mapping[int, np.ndarray], j: int) -> dict[int, np.ndarray]:
@@ -559,7 +557,7 @@ def _line_search(prog: _Program, scores: Mapping[int, np.ndarray],
 
 
 def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = FitOptions(),
-            *, weights: Sequence[float] | None = None, init_net: BayesNet | None = None,
+            *, weights: Sequence[float] | None = None,
             on_step: Callable[[BayesNet, int, float], None] | None = None) -> FitResult:
     """Fit CPTs to labeled queries by clamped gradient descent with restarts.
 
@@ -569,7 +567,8 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     search stalls, or ``max_iters`` is reached.  The best restart by final
     error wins (ties broken by restart index).  No global optimality is
     claimed: the returned net is a local fit.  A clamp too wide for some
-    variable's arity raises ``ValueError`` before any work.
+    variable's arity, or a start net whose ``signature()`` differs from the
+    structure's, raises ``ValueError`` naming a variable before any work.
 
     The query set is compiled once into a :class:`_Program`.  Scores live
     in one stack per arity (:func:`_layout`), and a line-search round
@@ -583,6 +582,10 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     if not qs:
         raise ValueError("fit_cpt needs at least one labeled query")
     opts.check_arities(structure)
+    start = opts.init if isinstance(opts.init, BayesNet) else structure
+    for ours, theirs in itertools.zip_longest(structure.signature(), start.signature()):
+        if ours != theirs:
+            raise ValueError(f"start net differs from the structure at {(ours or theirs)[0]!r}")
     rng = np.random.default_rng(opts.seed)
     prog = _program(structure, qs, weights)
     layout = prog.layout
@@ -594,7 +597,7 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
 
     for restart in range(opts.restarts):
         scores = {m: np.clip(s, -SCORE_BOUND, SCORE_BOUND) for m, s in _stack(
-            layout, _initial_scores(structure, opts, restart, rng, init_net)).items()}
+            layout, _initial_scores(structure, opts, restart, rng)).items()}
         sm, tables = _materialize({m: s[None] for m, s in scores.items()}, opts.eps_clamp)
         err, state = next(_evaluate(prog, tables))
         sm, tables = _pick(sm, 0), _pick(tables, 0)

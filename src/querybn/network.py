@@ -99,9 +99,10 @@ class Dag:
             n = ready.popleft()
             order.append(n)
             for c in children.get(n, ()):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
+                if c in indeg:  # an edge may name an undeclared child; validate reports it
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        ready.append(c)
         if len(order) != len(self.nodes):
             raise CycleError("graph contains a directed cycle")
         return tuple(order)
@@ -447,7 +448,7 @@ def validate(net: BayesNet, *, eps_clamp: float | None = None) -> list[str]:
             if p in name_set:
                 expect_rows *= net.arity(p)
         if t.ndim != 2 or t.shape[1] != arity:
-            out.append(f"cpt[{n}]: row width {t.shape[-1] if t.ndim else '?'} != arity {arity}")
+            out.append(f"cpt[{n}]: shape {t.shape} is not (rows, {arity})")
             continue
         if t.shape[0] != expect_rows:
             out.append(f"cpt[{n}]: {t.shape[0]} rows != {expect_rows} parent configurations")

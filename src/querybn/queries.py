@@ -122,10 +122,9 @@ class QueryPattern:
             raise ValueError(f"pinned values must name evidence variables; got {sorted(stray)}")
 
 
-def expand_pattern(net: BayesNet, pat: QueryPattern, weight: float,
-                   *, atom_cap: int = DEFAULT_ATOM_CAP) -> list[tuple[StatQuery, float]]:
-    """Ground a pattern: one atom per assignment of unpinned variables,
-    each carrying an equal share of ``weight``."""
+def expand_pattern(net: BayesNet, pat: QueryPattern, weight: float) -> list[tuple[StatQuery, float]]:
+    """Ground a pattern: one atom per assignment of unpinned variables, each
+    carrying an equal share of ``weight``; over ``DEFAULT_ATOM_CAP`` raises."""
     if weight <= 0:
         raise ValueError("pattern weight must be positive")
     for v in (*pat.target_vars, *pat.evidence_vars):
@@ -136,8 +135,8 @@ def expand_pattern(net: BayesNet, pat: QueryPattern, weight: float,
     count = 1
     for v in free:
         count *= net.arity(v)
-        if count > atom_cap:
-            raise ValueError(f"pattern expands to more than {atom_cap} atoms")
+        if count > DEFAULT_ATOM_CAP:
+            raise ValueError(f"pattern expands to more than {DEFAULT_ATOM_CAP} atoms")
     share = weight / count
     out = []
     for combo in itertools.product(*(net.domain(v) for v in free)):
@@ -201,15 +200,13 @@ class QueryDistribution:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw atom(s) proportional to weight; deterministic given the
-        generator state."""
+    def sample(self, rng: np.random.Generator, size: int) -> list[StatQuery]:
+        """A list of ``size`` queries drawn with replacement, proportional to
+        weight; deterministic given the generator state."""
         # rng.choice wants p to total 1 far more tightly than WEIGHT_TOL
         total = sum(w for _, w in self.atoms)
         idx = rng.choice(len(self.atoms), size=size, p=self.weights() / total)
-        if size is None:
-            return self.atoms[int(idx)][0]
-        return [self.atoms[i][0] for i in np.asarray(idx)]
+        return [self.atoms[i][0] for i in idx]
 
     def labeled(self) -> list[LabeledQuery]:
         """The queries with their labels; every atom must carry one."""
@@ -262,6 +259,8 @@ def load_queries(path, net: BayesNet) -> QueryDistribution:
 
 
 def parse_queries(doc: Mapping, net: BayesNet) -> QueryDistribution:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"a query file holds a JSON object, not {type(doc).__name__}")
     atoms: list[Atom] = []
     for item in doc.get("atoms", ()):
         q = StatQuery(item["target"], item.get("evidence", {}))

@@ -115,17 +115,14 @@ def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -
 
 
 def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per_evidence: int,
-                          cap: int = DEFAULT_COLLECT_CAP,
                           seed: int | np.random.Generator = 0) -> Dataset:
     """Draw tuples sequentially until every evidence pattern has at least
     ``per_evidence`` matching tuples; return *all* tuples drawn up to the
     first point where that holds.
 
-    Raises :class:`CapExceeded` after ``cap`` draws; matching a rare
-    evidence can require many more draws than ``per_evidence``.
+    Raises :class:`CapExceeded` after ``DEFAULT_COLLECT_CAP`` draws;
+    matching a rare evidence can require many more draws than ``per_evidence``.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     if per_evidence < 0:
         raise ValueError("per_evidence must be non-negative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -139,7 +136,7 @@ def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per
     drawn = 0
     batch = max(256, min(per_evidence * 2, 65536))
     while True:
-        take = min(batch, cap - drawn)
+        take = min(batch, DEFAULT_COLLECT_CAP - drawn)
         if take <= 0:
             raise CapExceeded(
                 f"drew {drawn} tuples without matching every evidence {per_evidence} times")

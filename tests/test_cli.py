@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from querybn import load_net, net_to_dict, save_net, true_err
+from querybn import InvalidNetError, load_net, net_to_dict, save_net, true_err
 from querybn.cli import main
 from querybn.experiments import ex41_bp, ex41_bsq, ex41_distribution, ex41_truth
 from querybn.queries import LabeledQuery, save_queries, StatQuery
@@ -45,6 +45,43 @@ class TestValidateCommand:
         assert main(["validate", "--net", str(path)]) == 1
         out = capsys.readouterr().out
         assert "sum" in out and out.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["variables"].append({"name": "A", "domain": ["0", "1"]}),
+         "duplicate variable name 'A'"),
+        (lambda d: d["variables"][0].update(domain=["0"]),
+         "variable 'A': domain must list at least 2 values"),
+        (lambda d: d["variables"][0].update(domain=["0", "0"]),
+         "variable 'A': duplicate value labels"),
+        (lambda d: d["edges"].append(["A", "Q"]), "edge references unknown child 'Q'"),
+        (lambda d: d["edges"].append(["A", "B"]), "node 'B': duplicate parents"),
+        (lambda d: d["edges"].append(["Z", "B"]), "node 'B': unknown parent 'Z'"),
+        (lambda d: d["cpts"].pop("B"), "variable 'B' has no CPT"),
+        (lambda d: d["cpts"].update(Z=[[0.5, 0.5]]), "CPT for unknown variable 'Z'"),
+        (lambda d: d["cpts"].update(A=[[[0.5, 0.5]]]), "cpt[A]: shape (1, 1, 2) is not (rows, 2)"),
+        (lambda d: d["cpts"].update(A=[[float("nan"), 0.5]]), "cpt[A]: non-finite entries"),
+    ], ids=["duplicate-name", "one-value-domain", "duplicate-labels", "unknown-child",
+            "duplicate-parents", "unknown-parent", "missing-cpt", "cpt-of-unknown",
+            "table-shape", "non-finite"])
+    def test_each_violation_exits_one_and_is_listed(self, tmp_path, capsys, edit, message):
+        doc = {"variables": [{"name": "A", "domain": ["0", "1"]},
+                             {"name": "B", "domain": ["0", "1"]}],
+               "edges": [["A", "B"]], "cpts": {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]] * 2}}
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--net", str(path)]) == 1
+        assert message in capsys.readouterr().out.splitlines()
+
+    def test_an_edge_to_an_undeclared_variable_fails_to_load(self, tmp_path, capsys):
+        doc = net_to_dict(ex41_bp())
+        doc["edges"].append(["A", "Q"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidNetError, match="edge references unknown child 'Q'"):
+            load_net(path)
+        assert main(["sample", "--net", str(path), "-n", "1", "--out", str(tmp_path)]) == 1
+        assert "edge references unknown child 'Q'" in capsys.readouterr().err
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -157,6 +194,17 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "cannot parse query file" in err and "P(C=1 | A=1)" in err
+
+
+    @pytest.mark.parametrize("command", [["eval"], ["learn", "--mode", "qfit"]])
+    def test_a_query_file_that_is_not_an_object_exits_two(self, ex41_files, tmp_path, capsys,
+                                                          command):
+        qpath = tmp_path / "q.json"
+        qpath.write_text("[1, 2]")
+        assert main([*command, "--net", str(ex41_files["bp"]), "--queries", str(qpath),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot parse query file {qpath}: a query file holds a JSON object, not list" \
+            in capsys.readouterr().err
 
 
 class TestDataFileErrors:

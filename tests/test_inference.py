@@ -47,11 +47,14 @@ class TestEnumerationOracle:
         expected = 0.3 * 0.8 + 0.7 * 0.4  # law of total probability, by hand
         assert enumerate_marginal(net, {"B": "1"}) == pytest.approx(expected, abs=1e-15)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        import querybn.inference as inference
+
+        monkeypatch.setattr(inference, "DEFAULT_ENUM_CAP", 5)
         rng = np.random.default_rng(0)
         net = random_net(rng, n_vars=6, arities=(2,))
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_marginal(net, {}, cap=5)
+        with pytest.raises(EnumerationCapExceeded, match=r"2\*\*5"):
+            enumerate_marginal(net, {})
 
 
 class TestCondProb:

@@ -14,10 +14,10 @@ from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
 from querybn.inference import (_compile, answer, cond_prob, is_markov_blanket_query,
                                legal_answer)
-from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _chain_to_scores,
-                              _db_table, _family_can_affect, _layout, _materialize,
+from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _can_affect,
+                              _chain_to_scores, _db_table, _layout, _materialize,
                               _softmax_rows, _stack, _unstack)
-from querybn.network import clamp_net
+from querybn.network import clamp_net, d_separated
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
 from querybn.sampling import Dataset, cond_freq, forward_sample
@@ -354,6 +354,30 @@ class TestGrad:
                         assert rel_err(analytic[v][r, k], fd, floor=1e-7) < 1e-4
 
 
+def _family_can_affect(b, v, q):
+    """The reference rule, one d-separation test per family: False only when
+    ``v``'s family is fully fixed by the evidence or d-separated from the target."""
+    fam = {v, *b.parents(v)}
+    if fam & q.target.keys():
+        return True
+    free = fam - q.evidence.keys()
+    return bool(free) and not d_separated(b, free, set(q.target), set(q.evidence))
+
+
+class TestCanAffect:
+    def test_one_pass_matches_one_d_separation_test_per_family(self):
+        rng = np.random.default_rng(71)
+        for _ in range(400):
+            net = random_net(rng, n_vars=int(rng.integers(2, 16)), arities=(2, 3),
+                             max_parents=int(rng.integers(1, 4)))
+            names = list(rng.permutation(net.names))
+            n_target = int(rng.integers(1, min(3, len(names)) + 1))
+            n_evidence = int(rng.integers(0, min(5, len(names) - n_target) + 1))
+            q = StatQuery({v: "0" for v in names[:n_target]},
+                          {v: "0" for v in names[n_target:n_target + n_evidence]})
+            assert _can_affect(net, q) == {v: _family_can_affect(net, v, q) for v in net.names}
+
+
 def _general_queries(rng, net, n):
     qs = []
     while len(qs) < n:
@@ -536,7 +560,7 @@ class TestGradWorkCount:
 
     def test_a_program_tests_each_role_once_for_what_it_can_affect(self, monkeypatch):
         # ex4.2's pattern p(C | A1..A10) grounds to 2,048 queries of one role
-        # (target variables, evidence variables): one affect test per variable
+        # (target variables, evidence variables): one Bayes-ball pass for all
         import querybn.learning as learning
         from querybn.experiments import ex42_truth
         from querybn.queries import QueryPattern, expand_pattern
@@ -545,15 +569,15 @@ class TestGradWorkCount:
         pattern = QueryPattern(("C",), tuple(f"A{i}" for i in range(1, 11)))
         lqs = [LabeledQuery(q, 0.5) for q, _ in expand_pattern(net, pattern, 1.0)]
         calls = {"n": 0}
-        real = learning._family_can_affect
+        real = learning._bayes_ball
 
-        def counting(b, v, q):
+        def counting(*args):
             calls["n"] += 1
-            return real(b, v, q)
+            return real(*args)
 
-        monkeypatch.setattr(learning, "_family_can_affect", counting)
+        monkeypatch.setattr(learning, "_bayes_ball", counting)
         prog = learning._program(net, lqs)
-        assert len(lqs) == 2048 and calls["n"] == len(net.names) == 11
+        assert len(lqs) == 2048 and calls["n"] == 1
         assert prog.affected.shape == (2048, 11) and prog.affected.all()
 
 
@@ -579,7 +603,7 @@ def _sequential_fit(structure, qs, opts, on_step=None):
 
     for restart in range(opts.restarts):
         scores = {m: np.clip(s, -L.SCORE_BOUND, L.SCORE_BOUND) for m, s in _stack(
-            layout, L._initial_scores(structure, opts, restart, rng, None)).items()}
+            layout, L._initial_scores(structure, opts, restart, rng)).items()}
         tables, err, state = trial(scores)
         step = FIRST_STEP
         converged = False
@@ -686,8 +710,7 @@ class TestFitCpt:
         truth = random_net(rng, n_vars=4, interior=0.1)
         qs = [random_query(rng, truth, max_target=1, max_evidence=1) for _ in range(4)]
         lqs = label_queries(truth, qs)
-        fit = fit_cpt(truth, lqs, FitOptions(init="net", restarts=1, max_iters=50, seed=1),
-                      init_net=truth)
+        fit = fit_cpt(truth, lqs, FitOptions(init=truth, restarts=1, max_iters=50, seed=1))
         assert not any(row.accepted for row in fit.trace)
         assert fit.err == pytest.approx(0.0, abs=1e-9)
 
@@ -704,9 +727,25 @@ class TestFitCpt:
 
         structure, lqs = ex41_structure(), ex41_labeled_queries()
         start = ofe(structure, forward_sample(ex41_truth(), 500, seed=11), alpha=1.0)
-        fit = fit_cpt(structure, lqs, FitOptions(init="net", restarts=1, max_iters=5, seed=0),
-                      init_net=start)
+        fit = fit_cpt(structure, lqs, FitOptions(init=start, restarts=1, max_iters=5, seed=0))
         assert fit.trace[0].err == pytest.approx(empirical_err(start, lqs).aggregate, abs=1e-12)
+
+    @pytest.mark.parametrize("start, var", [
+        (ex41_truth(), "X"),
+        (make_net([("A", "01"), ("X", "01"), ("C", "01")], [("A", "X"), ("C", "X")],
+                  {"A": [[0.5, 0.5]], "C": [[0.5, 0.5]], "X": [[0.5, 0.5]] * 4}), "X"),
+        (make_net([("A", "01"), ("X", "01")], [("A", "X")],
+                  {"A": [[0.5, 0.5]], "X": [[0.5, 0.5]] * 2}), "C"),
+    ], ids=["ex41-truth", "collider", "short-chain"])
+    def test_start_net_of_another_structure_raises_before_compiling(self, monkeypatch, start,
+                                                                     var):
+        # ex4.1's truth drops A -> X, the collider points A and C into X, and
+        # the chain A -> X stops short of C
+        import querybn.learning as learning
+
+        monkeypatch.setattr(learning, "_program", lambda *a: pytest.fail("compiled"))
+        with pytest.raises(ValueError, match=f"differs from the structure at '{var}'"):
+            fit_cpt(ex41_structure(), ex41_labeled_queries(), FitOptions(init=start))
 
     @pytest.mark.parametrize("fixture", ["ex41", "table1_chain", "mixed"])
     def test_reported_err_is_the_returned_nets_empirical_err(self, fixture):
@@ -732,8 +771,10 @@ class TestFitCpt:
         assert abs(fit.err - empirical_err(fit.net, lqs).aggregate) <= 1e-12
 
     def test_ofe_init_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown init"):
-            FitOptions(init="ofe")
+        # so is "net": a start net is passed as the BayesNet itself
+        for init in ("ofe", "net", "Dirichlet", None):
+            with pytest.raises(ValueError, match="unknown init"):
+                FitOptions(init=init)
 
     def test_accepted_err_sequence_is_monotone(self):
         fit = fit_cpt(ex41_structure(), ex41_labeled_queries(),

@@ -46,6 +46,18 @@ class TestValidate:
         net2 = make_net([("A", "01")], [], {"A": [[-0.2, 1.2]]})
         assert any("outside [0, 1]" in v for v in validate(net2))
 
+    @pytest.mark.parametrize("nodes, message", [
+        (("A", "B", "Z"), "dag node 'Z' has no variable declaration"),
+        (("A",), "variable 'B' missing from dag nodes"),
+    ], ids=["undeclared-node", "node-missing"])
+    def test_dag_nodes_that_differ_from_the_variables_are_reported(self, nodes, message):
+        # a JSON net file takes its dag nodes from its variables, so only a
+        # hand-built net can disagree
+        net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
+                       {"A": [[0.3, 0.7]], "B": [[0.2, 0.8], [0.6, 0.4]]})
+        net = BayesNet(net.variables, Dag(nodes, net.dag.parents), net.cpts)
+        assert message in validate(net)
+
     def test_clamped_mode_flags_boundary_entries(self):
         net = make_net([("A", "01")], [], {"A": [[0.0, 1.0]]})
         assert validate(net) == []

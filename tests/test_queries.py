@@ -73,11 +73,14 @@ class TestExpandPattern:
         assert len(atoms) == 4
         assert all(w == pytest.approx(0.0625, abs=1e-15) for _, w in atoms)
 
-    def test_atom_cap(self):
+    def test_atom_cap(self, monkeypatch):
+        import querybn.queries as queries
+
+        monkeypatch.setattr(queries, "DEFAULT_ATOM_CAP", 100)
         net = binary_net(12)
         pat = QueryPattern(("A0",), tuple(f"A{i}" for i in range(1, 12)))
-        with pytest.raises(ValueError, match="atoms"):
-            expand_pattern(net, pat, 1.0, atom_cap=100)
+        with pytest.raises(ValueError, match="more than 100 atoms"):
+            expand_pattern(net, pat, 1.0)
 
     @given(st.integers(min_value=1, max_value=4), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=25, deadline=None)
@@ -121,7 +124,7 @@ class TestSampleQuery:
     def test_single_atom_always_returned(self):
         q = StatQuery({"A": "1"})
         dist = QueryDistribution([(q, 1.0)])
-        assert all(dist.sample(np.random.default_rng(s)) == q for s in range(5))
+        assert all(dist.sample(np.random.default_rng(s), 1) == [q] for s in range(5))
 
     def test_weights_kept_off_one_by_less_than_the_tolerance_still_sample(self):
         dist = QueryDistribution([(StatQuery({"A": "1"}), 0.5 + 5e-7),

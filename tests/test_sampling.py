@@ -91,11 +91,14 @@ class TestCollectUntilMatched:
         mean = float(np.mean(totals))
         assert abs(mean - 200.0) <= 20.0
 
-    def test_zero_probability_evidence_hits_the_cap(self):
+    def test_zero_probability_evidence_hits_the_cap(self, monkeypatch):
+        import querybn.sampling as sampling
+
+        monkeypatch.setattr(sampling, "DEFAULT_COLLECT_CAP", 2000)
         net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
                        {"A": [[1.0, 0.0]], "B": [[0.5, 0.5], [0.5, 0.5]]})
-        with pytest.raises(CapExceeded):
-            collect_until_matched(net, [{"A": "1"}], per_evidence=1, cap=2000, seed=7)
+        with pytest.raises(CapExceeded, match="drew 2000 tuples"):
+            collect_until_matched(net, [{"A": "1"}], per_evidence=1, seed=7)
 
     def test_all_tuples_are_returned_not_just_matches(self):
         net = ex41_truth()

@@ -9,19 +9,24 @@ of its results.
 It imports the library from the ``src`` directory next to this script.
 The cases are the qfit benchmark's fits for seeds 61-63 and passes 0-7
 (query sets and options read from ``perfbench/workloads.py``), 12 random
-mixed sets of general and blanket queries, the ex4.1 fit, ``grad`` on
+mixed sets of general and blanket queries, the ex4.1 fit, three seeded
+``querybn learn --mode qfit`` runs on the ex4.1 fixture (``--init``
+``dirichlet``, ``uniform`` and ``net``, through ``cli.main``), ``grad`` on
 60 random nets, and the plans ``inference._compile`` makes for 2,000
 random structures of 1-15 variables and 150 of 20-70 variables (arities
 2-4, random observed sets), ``ex42_truth(100)``, ``ex42_truth(400)`` and
 ``ex43_truth(10)``.  A fit's digest covers its trace (floats as hex), the
 fitted tables' bytes, ``err``, ``restart``, ``converged`` and every net
-``on_step`` received; a gradient's covers each array's bytes; a plan's
-covers its steps, families and shapes.
+``on_step`` received; a ``learn`` run's covers the bytes of its
+``net.json`` and ``trace.csv``; a gradient's covers each array's bytes;
+a plan's covers its steps, families and shapes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import querybn as qb  # noqa: E402
+from querybn.cli import main as cli_main  # noqa: E402
 from querybn.experiments import (ex41_labeled_queries, ex41_structure, ex42_truth,  # noqa: E402
                                  ex43_truth)
 from querybn.inference import _compile  # noqa: E402
@@ -55,6 +61,26 @@ def _fit_digest(structure, lqs, opts, weights=None) -> str:
              for r in fit.trace]
     doc = (trace, _tables(fit.net), fit.err.hex(), fit.restart, fit.converged, steps)
     return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+def _learn_digests(tmp: Path):
+    """(init, digest) of one seeded ``learn --mode qfit`` run per ``--init``
+    on the ex4.1 chain, whose net file holds non-uniform tables so that
+    ``--init net`` starts somewhere of its own."""
+    net = ex41_structure().with_tables({"A": [[0.3, 0.7]], "X": [[0.6, 0.4], [0.2, 0.8]],
+                                        "C": [[0.7, 0.3], [0.4, 0.6]]})
+    qb.save_net(net, tmp / "ex41.json")
+    qb.save_queries(tmp / "ex41_queries.json",
+                    [(lq.query, 0.5, lq.label) for lq in ex41_labeled_queries()])
+    for init in ("dirichlet", "uniform", "net"):
+        out = tmp / f"learn_{init}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["learn", "--mode", "qfit", "--net", str(tmp / "ex41.json"),
+                           "--queries", str(tmp / "ex41_queries.json"), "--init", init,
+                           "--restarts", "3", "--max-iters", "300", "--seed", "7",
+                           "--out", str(out)])
+        blob = (out / "net.json").read_bytes() + (out / "trace.csv").read_bytes()
+        yield init, hashlib.sha256(repr((rc, blob)).encode()).hexdigest()
 
 
 def _mixed(rng, net, n_general: int, n_blanket: int) -> list[qb.LabeledQuery]:
@@ -103,6 +129,9 @@ def cases():
         yield f"mixed set {i}", _fit_digest(structure, lqs, opts, weights)
     yield "ex4.1", _fit_digest(ex41_structure(), ex41_labeled_queries(),
                                qb.FitOptions(restarts=10, max_iters=2000, seed=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        for init, digest in _learn_digests(Path(tmp)):
+            yield f"learn ex4.1 --init {init}", digest
     rng = np.random.default_rng(66)
     for i in range(60):
         net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3),
