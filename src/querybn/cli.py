@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .experiments import EXPERIMENT_IDS, experiment_params, run_experiment
 from .inference import ZeroEvidence
 from .learning import FitOptions, fit_cpt, ofe
-from .network import BayesNet, InvalidNetError, load_net, save_net, validate
+from .network import BayesNet, InvalidNetError, check_assignment, load_net, save_net, validate
 from .queries import UnmatchedEvidence, label_from_data, label_queries, load_queries
 from .sampling import forward_sample, load_dataset, save_dataset
 from .scoring import empirical_err, empirical_err_from_events, true_err
@@ -52,6 +52,19 @@ def _load_or_fail(kind: str, path, load: Callable, *, malformed: str = "malforme
 
 def _load_net_or_fail(path) -> BayesNet:
     return _load_or_fail("net", path, load_net)
+
+
+def _load_truth_or_fail(path, dist) -> BayesNet:
+    """The ``--truth`` net, which must know every variable and value that
+    some query binds."""
+    truth = _load_net_or_fail(path)
+    for q in dist.queries():
+        try:
+            check_assignment(truth, {**q.target, **q.evidence})
+        except (KeyError, ValueError) as exc:
+            raise _CliError(f"--truth {path} cannot answer {q.id()}: {exc.args[0]}",
+                            USAGE_ERROR)
+    return truth
 
 
 def _outdir(args) -> str:
@@ -88,8 +101,7 @@ def cmd_eval(args) -> int:
     dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, net))
     try:
         if args.truth:
-            truth = _load_net_or_fail(args.truth)
-            report = true_err(net, dist, truth)
+            report = true_err(net, dist, _load_truth_or_fail(args.truth, dist))
         elif args.data:
             data = _load_or_fail("data", args.data, lambda p: load_dataset(p, net))
             report = empirical_err_from_events(net, dist.queries(), data, dist.weights())
@@ -142,17 +154,16 @@ def cmd_learn(args) -> int:
     opts = _fit_options(args, structure)
     dist = _load_or_fail("query", args.queries, lambda p: load_queries(p, structure))
     try:
-        if dist.fully_labeled():
-            labeled = dist.labeled()
-        elif args.truth:
-            truth = _load_net_or_fail(args.truth)
-            labeled = label_queries(truth, dist.queries())
+        if args.truth:
+            labeled = label_queries(_load_truth_or_fail(args.truth, dist), dist.queries())
         elif args.data:
             data = _load_or_fail("data", args.data, lambda p: load_dataset(p, structure))
             labeled = label_from_data(data, dist.queries())
+        elif dist.fully_labeled():
+            labeled = dist.labeled()
         else:
             raise _CliError(
-                "learn --mode qfit needs labels in the query file, --truth, or --data",
+                "learn --mode qfit needs --truth, --data, or labels on every query atom",
                 USAGE_ERROR)
     except ValueError as exc:  # ZeroEvidence and UnmatchedEvidence included
         raise _CliError(f"cannot label queries: {exc}", DOMAIN_ERROR)

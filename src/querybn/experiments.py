@@ -273,6 +273,8 @@ def run_ex42(n: int = 10, sample_sizes: Sequence[int] = (500, 1000, 2000, 4000),
         raise ValueError("ex4.2 needs at least 4 attributes")
     if not sample_sizes:
         raise ValueError("ex4.2 needs at least one sample size")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     report = ExperimentReport("ex4.2", seed, {
         "n": n, "sample_sizes": list(sample_sizes), "trials": trials,
         "truth": dict(EX42_TRUTH),
@@ -337,6 +339,10 @@ def run_ex43(n: int = 10, n_samples: int = 1000, trials: int = 100, seed: int = 
         raise ValueError("ex4.3 needs at least 4 attributes")
     if n_samples >= 2 ** n:
         raise ValueError(f"sample size must stay far below the {2 ** n} class-CPT rows")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     report = ExperimentReport("ex4.3", seed, {"n": n, "n_samples": n_samples, "trials": trials})
     truth = ex43_truth(n)
     p_c1 = marginal(truth, {"C": "1"})
@@ -451,6 +457,8 @@ def run_hoeffding(eps: float = 0.1, delta: float = 0.1, trials: int = 200,
     whose empirical score misses the true score by ``eps`` or more must
     stay at or below ``delta``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     m = bounds.m_lsq(eps, delta)
     report = ExperimentReport("hoeffding", seed,
                               {"eps": eps, "delta": delta, "trials": trials, "m_lsq": m})

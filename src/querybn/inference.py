@@ -30,7 +30,10 @@ rely on this.  Plans therefore keep barren variables too.
 
 ``mb_query`` answers single-variable queries whose evidence covers the
 target's Markov blanket using only the CPT rows of the target's family,
-with no global inference.
+with no global inference.  ``answer`` is the one way a query gets its
+number: it takes that fast path for blanket queries and ``cond_prob``
+otherwise, and on both paths refuses evidence of probability zero with
+:class:`ZeroEvidence` (an illegal query).
 """
 
 from __future__ import annotations
@@ -350,25 +353,20 @@ def mb_query(net: BayesNet, v: str, v_val: str, y: Assignment) -> float:
 
 
 def answer(net: BayesNet, q) -> float:
-    """Answer a statistical query, taking the Markov-blanket fast path when
-    it applies; the value is identical either way.
+    """B(target | evidence) for a statistical query; raises
+    :class:`ZeroEvidence` when the net gives the evidence probability zero.
 
-    The fast path conditions locally and therefore does not notice evidence
-    with zero probability; callers scoring against a possibly-deterministic
-    reference net should use :func:`legal_answer`.
+    This is the one rule by which a query gets its number.  A query whose
+    evidence covers its single target's Markov blanket is answered from
+    the blanket's CPT rows (:func:`mb_query`), every other query by
+    :func:`cond_prob`; the value is identical either way.  The blanket's
+    rows cannot see a zero elsewhere in the net, so when some entry is zero
+    the evidence is first checked with :func:`marginal`; with every entry
+    positive every evidence has positive probability and no check runs.
     """
     if is_markov_blanket_query(net, q):
+        if q.evidence and net._has_zero() and marginal(net, q.evidence) <= 0.0:
+            raise ZeroEvidence(q.evidence)
         (v, v_val), = q.target.items()
         return mb_query(net, v, v_val, q.evidence)
     return cond_prob(net, q.target, q.evidence)
-
-
-def legal_answer(net: BayesNet, q) -> float:
-    """:func:`answer` plus an explicit legality check on the evidence.
-
-    Only the blanket fast path needs the check; :func:`cond_prob` already
-    raises :class:`ZeroEvidence` on the general path.
-    """
-    if q.evidence and is_markov_blanket_query(net, q) and marginal(net, q.evidence) <= 0.0:
-        raise ZeroEvidence(q.evidence)
-    return answer(net, q)

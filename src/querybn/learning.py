@@ -203,8 +203,8 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     entry.  A label within 1e-12 relative of the replay's answer
     (``TIE_RTOL``) counts as met and gives exact zeros, as do entries whose
     family is d-separated from a query's target.  Evidence of probability
-    zero raises :class:`ZeroEvidence`, for a blanket query too, which
-    :func:`answer`'s fast path does not notice.  A zero entry in a family
+    zero raises :class:`ZeroEvidence`, for a blanket query too, as
+    :func:`answer` does.  A zero entry in a family
     the query can affect raises ``ValueError``, as in :func:`db_dentry`.
     """
     if not qs:

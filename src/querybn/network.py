@@ -148,6 +148,7 @@ class BayesNet:
         self._children = dag.children_map()
         self._topo: tuple[str, ...] | None = None
         self._signature: tuple | None = None
+        self._zero: bool | None = None  # see _has_zero
 
     # -- construction helpers -------------------------------------------------
 
@@ -177,13 +178,15 @@ class BayesNet:
         """Copy of this net with some CPT tables replaced.
 
         The copy shares this net's structure and the maps derived from it,
-        which no net ever changes.  The copy is built the way ``copy.copy``
+        which no net ever changes, but not the zero-entry flag of
+        :meth:`_has_zero`, which depends on the tables.  The copy is built the way ``copy.copy``
         builds it, without that function's per-call dispatch, which a fit
         pays on every ``on_step`` call.
         """
         net = object.__new__(type(self))
         net.__dict__.update(self.__dict__)
         net.cpts = dict(self.cpts)
+        net._zero = None
         for name, table in tables.items():
             net.cpts[name] = Cpt(np.asarray(table, dtype=float))
         return net
@@ -241,6 +244,14 @@ class BayesNet:
         if self._signature is None:
             self._signature = tuple((v.name, v.arity, self.parents(v.name)) for v in self.variables)
         return self._signature
+
+    def _has_zero(self) -> bool:
+        """Whether some CPT entry is zero (or below), found on the first
+        call and kept: with every entry positive, every evidence has
+        positive probability."""
+        if self._zero is None:
+            self._zero = any((c.table <= 0.0).any() for c in self.cpts.values())
+        return self._zero
 
     def state_count(self) -> int:
         n = 1

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .inference import legal_answer
+from .inference import answer
 from .network import Assignment, BayesNet
 from .sampling import Dataset, cond_freq
 
@@ -221,12 +221,12 @@ class QueryDistribution:
 
 
 def label_queries(truth: BayesNet, qs: Iterable[StatQuery]) -> list[LabeledQuery]:
-    """Label each query with the truth net's answer.
+    """Label each query with the truth net's :func:`answer`.
 
     Raises :class:`ZeroEvidence` for queries that are illegal under the
     truth distribution (their conditioning event has probability zero).
     """
-    return [LabeledQuery(q, legal_answer(truth, q)) for q in qs]
+    return [LabeledQuery(q, answer(truth, q)) for q in qs]
 
 
 def label_from_data(data: Dataset, qs: Sequence[StatQuery]) -> list[LabeledQuery]:

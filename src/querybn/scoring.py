@@ -4,9 +4,11 @@ The central quantity is the query-weighted squared-error score
 
     err(B) = sum over queries (x; y) of  weight(x; y) * [B(x|y) - ref(x|y)]^2
 
-where the reference is the true conditional (``true_err``), a supplied
-label (``empirical_err``), or a conditional frequency estimated from
-complete event tuples (``empirical_err_from_events``).  Log-loss scores
+Every such score labels its queries, then compares: the reference is the
+true conditional, the truth net's answer (``true_err``), a supplied label
+(``empirical_err``), or a conditional frequency estimated from complete
+event tuples (``empirical_err_from_events``), and one private scorer
+compares the net's answers with those labels.  Log-loss scores
 (``nll``, ``true_kl``, ``ll_decomposition``) are provided for comparison;
 all logarithms are natural.
 
@@ -24,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import ZeroEvidence, answer, enumerate_joint, legal_answer, marginal
+from .inference import ZeroEvidence, answer, enumerate_joint, marginal, mb_query
 from .network import BayesNet
 from .queries import (LabeledQuery, QueryDistribution, StatQuery, _query_weights,
-                      label_from_data)
+                      label_from_data, label_queries)
 from .queries import UnmatchedEvidence  # noqa: F401  raised by label_from_data; re-exported
 from .sampling import Dataset
 
@@ -101,18 +103,21 @@ class ErrReport:
             w.writerow(["aggregate", "", "", "", repr(self.aggregate), ""])
 
 
-def _score_rows(b: BayesNet, refs: Sequence[tuple[StatQuery, float, float]], mode: str) -> ErrReport:
-    """Score the hypothesis against (query, weight, reference) triples.
+def _score_rows(b: BayesNet, labeled: Sequence[LabeledQuery], weights: Sequence[float] | None,
+                mode: str) -> ErrReport:
+    """Score the hypothesis's :func:`answer` against each query's label,
+    the weights checked and defaulted as in :func:`empirical_err`.
 
     Each distinct query is answered once and its answer reused for every
     row that repeats it, in row order.  A hypothesis-side
-    :class:`ZeroEvidence` becomes a noted row instead of aborting the batch
-    (it cannot occur for clamped nets).
+    :class:`ZeroEvidence` becomes a noted row, left out of the aggregate,
+    instead of aborting the batch (it cannot occur for clamped nets).
     """
     answers: dict[StatQuery, float | None] = {}
     rows: list[QueryScore] = []
     aggregate = 0.0
-    for q, w, ref in refs:
+    for lq, w in zip(labeled, _query_weights(len(labeled), weights)):
+        q, ref = lq.query, lq.label
         if q not in answers:
             try:
                 answers[q] = answer(b, q)
@@ -130,13 +135,13 @@ def _score_rows(b: BayesNet, refs: Sequence[tuple[StatQuery, float, float]], mod
 
 
 def true_err(b: BayesNet, dist: QueryDistribution, truth: BayesNet) -> ErrReport:
-    """Query-weighted squared error of ``b`` against the true conditionals.
+    """Query-weighted squared error of ``b`` against the true conditionals,
+    the labels of :func:`label_queries`.
 
     Every atom must be legal under ``truth``; an illegal one raises
     :class:`ZeroEvidence`.
     """
-    refs = [(q, w, legal_answer(truth, q)) for q, w in dist.atoms]
-    return _score_rows(b, refs, "true")
+    return _score_rows(b, label_queries(truth, dist.queries()), dist.weights(), "true")
 
 
 def empirical_err(b: BayesNet, qs: Sequence[LabeledQuery],
@@ -145,8 +150,7 @@ def empirical_err(b: BayesNet, qs: Sequence[LabeledQuery],
     weights default to ``1/len(qs)`` each, the unweighted mean."""
     if not qs:
         raise ValueError("empirical_err needs at least one labeled query")
-    refs = [(lq.query, w, lq.label) for lq, w in zip(qs, _query_weights(len(qs), weights))]
-    return _score_rows(b, refs, "labeled")
+    return _score_rows(b, qs, weights, "labeled")
 
 
 def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Dataset,
@@ -159,9 +163,7 @@ def empirical_err_from_events(b: BayesNet, qs: Sequence[StatQuery], data: Datase
     """
     if not qs:
         raise ValueError("empirical_err_from_events needs at least one query")
-    refs = [(lq.query, w, lq.label)
-            for lq, w in zip(label_from_data(data, qs), _query_weights(len(qs), weights))]
-    return _score_rows(b, refs, "unlabeled+events")
+    return _score_rows(b, label_from_data(data, qs), weights, "unlabeled+events")
 
 
 def nll(b: BayesNet, data: Dataset) -> float:
@@ -229,7 +231,7 @@ def ll_decomposition(b: BayesNet, data: Dataset, class_var: str) -> tuple[float,
         p_ev = marginal(b, evidence)
         if p_ev <= 0.0:
             raise ZeroProbability(f"evidence part of tuple {dict(labels)!r} has zero probability")
-        cond = answer(b, StatQuery({class_var: labels[class_var]}, evidence))
+        cond = mb_query(b, class_var, labels[class_var], evidence)  # a blanket query
         if cond <= 0.0:
             raise ZeroProbability(f"conditional of tuple {dict(labels)!r} is zero")
         cond_term += count * math.log(cond)

@@ -64,6 +64,15 @@ def certain_parent_net() -> BayesNet:
     )
 
 
+def ruled_out_blanket_net() -> tuple[BayesNet, StatQuery]:
+    """A -> B plus an isolated C that is never 1, and the query
+    ``B=1 | A=1, C=1``: its evidence covers B's blanket {A}, whose rows
+    answer 0.9, yet has probability zero."""
+    net = make_net([("A", "01"), ("B", "01"), ("C", "01")], [("A", "B")],
+                   {"A": [[0.4, 0.6]], "B": [[0.7, 0.3], [0.1, 0.9]], "C": [[1.0, 0.0]]})
+    return net, StatQuery({"B": "1"}, {"A": "1", "C": "1"})
+
+
 def naive_bayes_net(n=4, p_c=0.5, p_a_c0=0.2, p_a_c1=0.7) -> BayesNet:
     variables = [("C", "01")] + [(f"A{i}", "01") for i in range(1, n + 1)]
     edges = [("C", f"A{i}") for i in range(1, n + 1)]

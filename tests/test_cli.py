@@ -12,7 +12,7 @@ from querybn.experiments import ex41_bp, ex41_bsq, ex41_distribution, ex41_truth
 from querybn.queries import LabeledQuery, save_queries, StatQuery
 from querybn.sampling import cond_freq, forward_sample, load_dataset, save_dataset
 
-from helpers import certain_parent_net
+from helpers import certain_parent_net, ruled_out_blanket_net
 
 
 @pytest.fixture()
@@ -184,6 +184,18 @@ class TestEvalCommand:
         assert main(["eval", "--net", str(npath), "--queries", str(qpath),
                      "--truth", str(tpath), "--out", str(tmp_path / "o")]) == 1
 
+    def test_a_blanket_query_the_net_rules_out_is_a_noted_row(self, tmp_path, capsys):
+        net, q = ruled_out_blanket_net()
+        npath, qpath, out = tmp_path / "net.json", tmp_path / "q.json", tmp_path / "o"
+        save_net(net, npath)
+        save_queries(qpath, [(q, 1.0, 0.0)])
+        assert main(["eval", "--net", str(npath), "--queries", str(qpath),
+                     "--out", str(out)]) == 0
+        assert "warning: 1 queries could not be answered" in capsys.readouterr().err
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["aggregate"] == 0.0
+        assert doc["rows"][0]["note"] == "hypothesis assigns zero probability to the evidence"
+
     @pytest.mark.parametrize("label", [1.5, float("nan")])
     @pytest.mark.parametrize("command", [["eval"], ["learn", "--mode", "qfit"]])
     def test_label_outside_unit_interval_exits_two(self, ex41_files, tmp_path, capsys,
@@ -205,6 +217,49 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"cannot parse query file {qpath}: a query file holds a JSON object, not list" \
             in capsys.readouterr().err
+
+
+class TestReferences:
+    @pytest.mark.parametrize("reference", ["truth", "data"])
+    def test_learn_prefers_truth_then_data_to_the_files_labels(self, ex41_files, tmp_path,
+                                                                reference):
+        # the file's labels are wrong; eval --truth scores against the truth
+        wrong = tmp_path / "wrong.json"
+        save_queries(wrong, [(q, w, label) for (q, w), label
+                             in zip(ex41_distribution().atoms, (0.3, 0.6))])
+        assert main(["eval", "--net", str(ex41_files["bp"]), "--queries", str(wrong),
+                     "--truth", str(ex41_files["truth"]), "--out", str(tmp_path / "e")]) == 0
+        doc = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert doc["aggregate"] == pytest.approx(0.25, abs=1e-9)
+        dpath = tmp_path / "d.csv"
+        save_dataset(forward_sample(ex41_truth(), 500, seed=2), dpath)
+        source = {"truth": str(ex41_files["truth"]), "data": str(dpath)}[reference]
+        nets = []
+        for queries, extra in ((ex41_files["queries"], [f"--{reference}", source]),
+                               (wrong, [f"--{reference}", source]), (wrong, [])):
+            out = tmp_path / f"o{len(nets)}"
+            assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                         "--queries", str(queries), *extra, "--restarts", "2",
+                         "--max-iters", "100", "--out", str(out)]) == 0
+            nets.append((out / "net.json").read_bytes())
+        assert nets[1] == nets[0] != nets[2]
+
+    @pytest.mark.parametrize("domains, message", [
+        ({"X": "01", "C": "01"}, "unknown variable 'A'"),
+        ({"A": "02", "X": "01", "C": "01"}, "value '1' not in domain of 'A'"),
+    ], ids=["missing-variable", "unknown-value"])
+    @pytest.mark.parametrize("command", [["eval"], ["learn", "--mode", "qfit"]],
+                             ids=["eval", "learn"])
+    def test_a_truth_net_without_a_querys_binding_exits_two(self, ex41_files, tmp_path,
+                                                            capsys, command, domains, message):
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({
+            "variables": [{"name": v, "domain": list(d)} for v, d in domains.items()],
+            "cpts": {v: [[0.5, 0.5]] for v in domains}}))
+        assert main([*command, "--net", str(ex41_files["bp"]),
+                     "--queries", str(ex41_files["queries"]), "--truth", str(tpath),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"--truth {tpath} cannot answer P(C=1 | A=1): {message}" in capsys.readouterr().err
 
 
 class TestDataFileErrors:
@@ -511,7 +566,14 @@ class TestReproCommand:
         ("hoeffding", '{"eps": 1}', "invalid arguments for hoeffding: eps must lie in (0, 1)"),
         ("ex4.2", '{"sample_sizes": []}',
          "invalid arguments for ex4.2: ex4.2 needs at least one sample size"),
-    ], ids=["hoeffding-eps-out-of-range", "ex4.2-no-sample-sizes"])
+        ("ex4.2", '{"trials": 0}', "invalid arguments for ex4.2: trials must be at least 1, got 0"),
+        ("ex4.3", '{"trials": 0}', "invalid arguments for ex4.3: trials must be at least 1, got 0"),
+        ("ex4.3", '{"n_samples": 0}',
+         "invalid arguments for ex4.3: n_samples must be at least 1, got 0"),
+        ("hoeffding", '{"trials": 0}',
+         "invalid arguments for hoeffding: trials must be at least 1, got 0"),
+    ], ids=["hoeffding-eps-out-of-range", "ex4.2-no-sample-sizes", "ex4.2-no-trials",
+            "ex4.3-no-trials", "ex4.3-no-samples", "hoeffding-no-trials"])
     def test_params_the_runner_rejects_exit_two(self, tmp_path, capsys, experiment, params,
                                                 message):
         out = tmp_path / "o"

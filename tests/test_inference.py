@@ -4,7 +4,9 @@ and the Markov-blanket fast path."""
 import numpy as np
 import pytest
 
-from querybn import BayesNet, Dag, StatQuery, ZeroEvidence
+from querybn import (BayesNet, Dag, LabeledQuery, QueryDistribution, StatQuery, ZeroEvidence,
+                     empirical_err, empirical_err_from_events, forward_sample, label_queries,
+                     true_err)
 from querybn.experiments import ex41_bp, ex41_bsq, ex42_query, ex42_truth, ex43_truth
 from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile, _forward,
                                _replay, _value_and_grad, answer, cond_prob, enumerate_marginal,
@@ -13,7 +15,7 @@ from querybn.inference import (PLAN_CACHE_SIZE, EnumerationCapExceeded, _compile
 from querybn.random_nets import random_blanket_query, random_net, random_query
 
 from helpers import (chain_net, enumerate_completions, make_net, naive_bayes_net,
-                     perturb_entry)
+                     perturb_entry, ruled_out_blanket_net)
 
 
 class TestMarginal:
@@ -353,3 +355,45 @@ class TestAnswerDispatch:
             (v, _), = q.target.items()
             total = sum(answer(net, StatQuery({v: val}, q.evidence)) for val in net.domain(v))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_blanket_query_whose_evidence_the_net_rules_out_raises(self):
+        net, q = ruled_out_blanket_net()
+        assert is_markov_blanket_query(net, q)
+        assert mb_query(net, "B", "1", q.evidence) == pytest.approx(0.9, abs=1e-15)
+        with pytest.raises(ZeroEvidence, match="A=1, C=1"):
+            answer(net, q)
+        with pytest.raises(ZeroEvidence):
+            label_queries(net, [q])
+        with pytest.raises(ZeroEvidence):
+            true_err(net, QueryDistribution.uniform([q]), net)
+
+    def test_blanket_queries_check_their_evidence_only_on_nets_with_a_zero_entry(
+            self, monkeypatch):
+        import querybn.inference as inference
+
+        calls = []
+        monkeypatch.setattr(inference, "marginal",
+                            lambda net, a: calls.append(dict(a)) or marginal(net, a))
+        rng = np.random.default_rng(25)
+        net = random_net(rng, n_vars=6, arities=(2, 3))
+        qs = [random_blanket_query(rng, net) for _ in range(8)]
+        assert all(q.evidence for q in qs) and len(set(qs)) == 8
+        lqs = label_queries(net, qs)
+        empirical_err(net, lqs + lqs)
+        true_err(net, QueryDistribution.uniform(qs), net)
+        empirical_err_from_events(net, qs, forward_sample(net, 2000, seed=25))
+        assert calls == []
+        # a zero entry: each distinct query's evidence is checked once per score
+        t = np.array(net.cpts["V0"].table)
+        t[0] = [0.0, *t[0, 1:] / t[0, 1:].sum()]
+        zeroed = net.with_tables({"V0": t})
+        qs = [random_blanket_query(rng, zeroed) for _ in range(8)]  # drawn worlds: legal
+        assert all(q.evidence for q in qs)
+        labels = [LabeledQuery(q, 0.5) for q in qs]
+        report = empirical_err(zeroed, labels + labels[::-1])
+        assert report.n_errors == 0
+        assert calls == [q.evidence for q in dict.fromkeys(qs)]
+        # with_tables forgets the flag: positive tables again check nothing
+        calls.clear()
+        empirical_err(zeroed.with_tables({"V0": net.cpts["V0"].table}), labels)
+        assert calls == []

@@ -12,8 +12,7 @@ from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQ
                      fit_cpt_from_events, flatten_grad, grad, ofe, true_err, validate)
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
-from querybn.inference import (_compile, answer, cond_prob, is_markov_blanket_query,
-                               legal_answer)
+from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
 from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _can_affect,
                               _chain_to_scores, _db_table, _layout, _materialize,
                               _softmax_rows, _stack, _unstack)
@@ -290,7 +289,7 @@ class TestGrad:
         q = StatQuery({"B": "1"}, {"A": "1", "C": "1"})
         assert is_markov_blanket_query(net, q)
         with pytest.raises(ZeroEvidence):
-            legal_answer(net, q)
+            answer(net, q)
         with pytest.raises(ZeroEvidence):
             grad(net, [LabeledQuery(q, 0.5)])
 

@@ -15,7 +15,8 @@ from querybn.learning import ofe
 from querybn.random_nets import random_net, random_query
 from querybn.sampling import Dataset, forward_sample
 
-from helpers import chain_net, enumerate_completions, make_net, naive_bayes_net
+from helpers import (chain_net, enumerate_completions, make_net, naive_bayes_net,
+                     ruled_out_blanket_net)
 
 
 class TestTrueErr:
@@ -110,8 +111,7 @@ class TestEmpiricalErr:
             empirical_err(bp, dist.labeled(), [1.0])
 
     def test_hypothesis_side_zero_evidence_is_noted_not_fatal(self):
-        # unclamped hypothesis that assigns zero mass to one query's evidence;
-        # the query must not take the blanket path, which conditions locally
+        # unclamped hypothesis that assigns zero mass to one query's evidence
         hyp = chain_net(p_a=0.0, p_x_a=(0.3, 0.6), p_c_x=(0.2, 0.9))
         lqs = [LabeledQuery(StatQuery({"C": "1"}, {"A": "1"}), 0.5),
                LabeledQuery(StatQuery({"C": "1"}, {"A": "0"}), 0.5)]
@@ -120,6 +120,11 @@ class TestEmpiricalErr:
         assert math.isfinite(report.aggregate)
         noted = [r for r in report.rows if r.note][0]
         assert noted.query.evidence == {"A": "1"}
+        # a blanket query too, although the blanket's rows alone answer 0.9
+        hyp, q = ruled_out_blanket_net()
+        report = empirical_err(hyp, [LabeledQuery(q, 0.0)])
+        assert report.n_errors == 1 and report.aggregate == 0.0
+        assert report.rows[0].note == "hypothesis assigns zero probability to the evidence"
 
 
 class TestScoreRows:

@@ -1,6 +1,7 @@
-"""Print one sha256 per fitting case and per compiled elimination plan, to
-check that a change to the fitter or the inference engine keeps every bit
-of its results.
+"""Print one sha256 per fitting case, compiled elimination plan, answer
+set, label set, score report and ``repro`` report, to check that a change
+to the fitter, the inference engine or scoring keeps every bit of its
+results.
 
     python3 tools/fit_fingerprint.py > before.txt
     # change the library, then
@@ -20,6 +21,17 @@ fitted tables' bytes, ``err``, ``restart``, ``converged`` and every net
 ``on_step`` received; a ``learn`` run's covers the bytes of its
 ``net.json`` and ``trace.csv``; a gradient's covers each array's bytes;
 a plan's covers its steps, families and shapes.
+
+Then ``answer`` on three general and three blanket queries of each of
+300 random nets (arities 2-4) and of 40 nets with zero entries, whose
+queries draw their evidence from sampled worlds so it stays possible;
+``label_queries`` on 20 query sets; the ``to_dict()`` JSON of
+``true_err``, ``empirical_err`` and ``empirical_err_from_events`` on 20
+random (truth, hypothesis) pairs; and every ``querybn repro`` id at seed
+0 through ``cli.main``.  An answer or label set's digest covers each
+float as hex (an answer that raises ``ZeroEvidence`` is that name); a
+``repro`` run's covers its exit code, its stdout with the output
+directory masked, and the bytes of every file it wrote.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -38,8 +51,8 @@ import numpy as np  # noqa: E402
 
 import querybn as qb  # noqa: E402
 from querybn.cli import main as cli_main  # noqa: E402
-from querybn.experiments import (ex41_labeled_queries, ex41_structure, ex42_truth,  # noqa: E402
-                                 ex43_truth)
+from querybn.experiments import (EXPERIMENT_IDS, ex41_labeled_queries,  # noqa: E402
+                                 ex41_structure, ex42_truth, ex43_truth)
 from querybn.inference import _compile  # noqa: E402
 from querybn.random_nets import (random_blanket_query, random_dag, random_net,  # noqa: E402
                                  random_query)
@@ -110,6 +123,68 @@ def _random_signature(rng, n_vars: int):
     return signature, observed
 
 
+def _zeroed(rng, net: qb.BayesNet) -> qb.BayesNet:
+    """``net`` with one entry of a random row set to 0 in each of about
+    half its CPTs, each such row renormalised."""
+    tables = {}
+    for v in net.names:
+        if rng.random() < 0.5:
+            t = np.array(net.cpts[v].table)
+            row = t[int(rng.integers(len(t)))]
+            row[int(rng.integers(len(row)))] = 0.0
+            row /= row.sum()
+            tables[v] = t
+    return net.with_tables(tables)
+
+
+def _answers_digest(net: qb.BayesNet, qs) -> str:
+    """The digest of ``answer`` on each query: a float as hex, or
+    ``ZeroEvidence``."""
+    out = []
+    for q in qs:
+        try:
+            out.append(qb.answer(net, q).hex())
+        except qb.ZeroEvidence:
+            out.append("ZeroEvidence")
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def _score_cases(rng, i: int):
+    """(name, digest) of the three scores on one random (truth,
+    hypothesis) pair; odd pairs give the hypothesis zero entries and draw
+    the queries from its worlds, so they stay legal under it."""
+    hyp = random_net(rng, n_vars=int(rng.integers(3, 8)), arities=(2, 3, 4), max_parents=2)
+    truth = hyp.with_tables({v: rng.dirichlet(np.ones(hyp.arity(v)), hyp.cpts[v].table.shape[0])
+                             for v in hyp.names})
+    if i % 2:
+        hyp = _zeroed(rng, hyp)
+    qs = list(dict.fromkeys(lq.query for lq in _mixed(rng, hyp, 3, 3)))
+    weights = rng.uniform(0.1, 2.0, len(qs))
+    dist = qb.QueryDistribution(zip(qs, weights / weights.sum()))
+    lqs = [qb.LabeledQuery(q, float(rng.random())) for q in qs]
+    rows = lqs + lqs[::2]
+    data = qb.forward_sample(truth, 300, seed=int(rng.integers(2 ** 31)))
+    seen = [q for q in qs if data.match_mask(q.evidence).any()]
+    reports = (("true_err", lambda: qb.true_err(hyp, dist, truth)),
+               ("empirical_err", lambda: qb.empirical_err(hyp, rows, list(rng.random(len(rows))))),
+               ("empirical_err_from_events", lambda: qb.empirical_err_from_events(hyp, seen, data)))
+    for name, report in reports:
+        doc = json.dumps(report().to_dict(), sort_keys=True)
+        yield f"{name} pair {i}", hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _repro_digests(tmp: Path):
+    """(id, digest) of every ``querybn repro`` id at seed 0."""
+    for experiment in EXPERIMENT_IDS:
+        out = tmp / experiment
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli_main(["repro", "--id", experiment, "--seed", "0", "--out", str(out)])
+        printed = stdout.getvalue().replace(str(out), "<out>")  # the temporary directory
+        files = [(f.name, f.read_bytes()) for f in sorted(out.iterdir())]
+        yield experiment, hashlib.sha256(repr((rc, printed, files)).encode()).hexdigest()
+
+
 def cases():
     """(name, digest) for every case, in a fixed order."""
     qfit = QFit()
@@ -148,6 +223,29 @@ def cases():
     for name, net in (("ex42_truth(100)", ex42_truth(100)), ("ex42_truth(400)", ex42_truth(400)),
                       ("ex43_truth(10)", ex43_truth(10))):
         yield f"plan {name}", _plan_digest(net.signature(), ())
+    rng = np.random.default_rng(68)
+    for kind, count in (("", 300), (" zero-entry", 40)):
+        for i in range(count):
+            net = random_net(rng, n_vars=int(rng.integers(2, 9)), arities=(2, 3, 4),
+                             max_parents=int(rng.integers(1, 4)))
+            if kind:
+                net = _zeroed(rng, net)
+            qs = [lq.query for lq in _mixed(rng, net, 3, 3)]
+            yield f"answer{kind} net {i}", _answers_digest(net, qs)
+    rng = np.random.default_rng(69)
+    for i in range(20):
+        truth = random_net(rng, n_vars=int(rng.integers(3, 9)), arities=(2, 3, 4))
+        if i % 2:
+            truth = _zeroed(rng, truth)
+        qs = [lq.query for lq in _mixed(rng, truth, 4, 4)]
+        labels = [lq.label.hex() for lq in qb.label_queries(truth, qs)]
+        yield f"label_queries set {i}", hashlib.sha256(repr(labels).encode()).hexdigest()
+    rng = np.random.default_rng(70)
+    for i in range(20):
+        yield from _score_cases(rng, i)
+    with tempfile.TemporaryDirectory() as tmp:
+        for experiment, digest in _repro_digests(Path(tmp)):
+            yield f"repro {experiment} seed 0", digest
 
 
 if __name__ == "__main__":
