@@ -247,8 +247,8 @@ def cmd_repro(args) -> int:
                                 f"got {json.dumps(value)}", USAGE_ERROR)
     try:
         report = run_experiment(args.id, seed=args.seed, jobs=args.jobs, **params)
-    except ZeroEvidence:  # a ValueError too, but a fault of the run, not of its arguments
-        raise
+    except ZeroEvidence as exc:  # a ValueError too, but a fault of the run, not of its arguments
+        raise _CliError(f"repro {args.id}: {exc}", DOMAIN_ERROR)
     except ValueError as exc:
         raise _CliError(f"invalid arguments for {args.id}: {exc}", USAGE_ERROR)
     outdir = _outdir(args)

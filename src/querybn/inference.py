@@ -265,13 +265,12 @@ def enumerate_joint(net: BayesNet) -> np.ndarray:
         raise EnumerationCapExceeded(
             f"joint has {net.state_count()} states; enumeration cap is 2**{DEFAULT_ENUM_CAP}")
     n = len(net.names)
-    pos = {v: i for i, v in enumerate(net.names)}
     joint = np.ones(tuple(v.arity for v in net.variables))
     for v in net.names:
         ps = net.parents(v)
         shape = tuple(net.arity(p) for p in ps) + (net.arity(v),)
         t = net.cpts[v].table.reshape(shape + (1,) * (n - len(shape)))
-        positions = [pos[p] for p in ps] + [pos[v]]
+        positions = [net._column[u] for u in (*ps, v)]
         joint = joint * np.moveaxis(t, range(len(positions)), positions)
     return joint
 

@@ -70,7 +70,7 @@ from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_p
                         family_posterior, is_markov_blanket_query, mb_posterior)
 from .network import BayesNet, EntryId, _bayes_ball, clamp_row
 from .queries import LabeledQuery, StatQuery, _query_weights, label_from_data
-from .sampling import Dataset, collect_until_matched
+from .sampling import Dataset, _net_codes, collect_until_matched
 
 DIRICHLET_ALPHA = 1.0
 FIRST_STEP = 1.0
@@ -91,15 +91,17 @@ def ofe(structure: BayesNet, data: Dataset, alpha: float = 0.0) -> BayesNet:
 
     With ``alpha = 0`` a parent configuration that never occurs gets a
     uniform row.  Only the structure (variables + dag) of ``structure`` is
-    used; its CPT values are ignored.
+    used; its CPT values are ignored.  ``data`` binds to it by name and
+    domain (``sampling._net_codes``): a net variable with no column raises
+    ``KeyError``, one whose column has another domain ``ValueError``.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"smoothing must be finite and non-negative, got {alpha}")
-    cols = {v: data.column(v) for v in structure.names}
+    codes = _net_codes(structure, data)
     tables: dict[str, np.ndarray] = {}
-    for v in structure.names:
+    for j, v in enumerate(structure.names):
         n_rows, arity = structure.cpts[v].table.shape
-        flat = structure.row_indices(v, data.codes, cols) * arity + data.codes[:, cols[v]]
+        flat = structure.row_indices(v, codes) * arity + codes[:, j]
         counts = np.bincount(flat, minlength=n_rows * arity).reshape(n_rows, arity).astype(float)
         counts += alpha
         totals = counts.sum(axis=1, keepdims=True)
@@ -282,15 +284,15 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
              weights: Sequence[float] | None = None) -> _Program:
     """Compile ``qs`` on ``b``'s structure into a :class:`_Program`, with one
     :func:`_can_affect` pass per role; reads no CPT value."""
-    pos, rows = {v: i for i, v in enumerate(b.names)}, 2 * len(qs)
+    rows = 2 * len(qs)
     weights = np.array(_query_weights(len(qs), weights))
     # value codes of each query's evidence and evidence-and-target rows, -1 if free
-    codes = np.full((len(qs), 2, len(pos)), -1)
+    codes = np.full((len(qs), 2, len(b.names)), -1)
     roles, affected = {}, []
     for k, lq in enumerate(qs):
         q = lq.query
         for v, val in {**q.evidence, **q.target}.items():
-            codes[k, int(v in q.target):, pos[v]] = b.code(v, val)
+            codes[k, int(v in q.target):, b._column[v]] = b.code(v, val)
         role = (frozenset(q.target), frozenset(q.evidence))
         if role not in roles:
             roles[role] = list(_can_affect(b, q).values())

@@ -145,6 +145,7 @@ class BayesNet:
         self.cpts = dict(cpts)
         self._var = {v.name: v for v in self.variables}
         self._code = {v.name: {lab: i for i, lab in enumerate(v.domain)} for v in self.variables}
+        self._column = {v.name: j for j, v in enumerate(self.variables)}  # column in net order
         self._children = dag.children_map()
         self._topo: tuple[str, ...] | None = None
         self._signature: tuple | None = None
@@ -268,12 +269,13 @@ class BayesNet:
             idx = idx * self.arity(p) + self.code(p, assignment[p])
         return idx
 
-    def row_indices(self, name: str, codes: np.ndarray, cols: Mapping[str, int]) -> np.ndarray:
-        """:meth:`row_index` of every row of a code matrix whose column for
-        variable ``v`` is ``cols[v]``."""
+    def row_indices(self, name: str, codes: np.ndarray) -> np.ndarray:
+        """:meth:`row_index` of every row of a code matrix with one column
+        per variable, in net order (``sampling._net_codes`` gives a
+        dataset's codes in that order)."""
         rows = np.zeros(len(codes), dtype=np.int64)
         for p in self.parents(name):
-            rows = rows * self.arity(p) + codes[:, cols[p]]
+            rows = rows * self.arity(p) + codes[:, self._column[p]]
         return rows
 
     def decode_row(self, name: str, row: int) -> dict[str, str]:

@@ -28,7 +28,10 @@ class Dataset:
     """A multiset of complete event tuples.
 
     Values are stored as integer codes against ``domains`` for fast
-    counting; ``labels`` views decode on demand.
+    counting; ``labels`` views decode on demand.  Column names must be
+    distinct, and every code must lie in its column's domain.  A dataset
+    binds to a net by variable name and domain (see :func:`_net_codes`),
+    so its column order need not be the net's.
     """
 
     variables: tuple[str, ...]
@@ -36,9 +39,11 @@ class Dataset:
     codes: np.ndarray  # shape (n_tuples, n_variables), integer codes
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("duplicate dataset columns")
         codes = np.array(self.codes, dtype=np.int64)  # own copy; frozen below
-        if codes.ndim != 2 or codes.shape[1] != len(self.variables):
-            raise ValueError("codes must be a (n_tuples, n_variables) array")
+        if codes.ndim != 2 or not codes.shape[1] == len(self.variables) == len(self.domains):
+            raise ValueError("codes must be a (n_tuples, n_variables) array, one domain per column")
         for j, dom in enumerate(self.domains):
             if codes.shape[0] and (codes[:, j].min() < 0 or codes[:, j].max() >= len(dom)):
                 raise ValueError(f"column {self.variables[j]!r} has out-of-domain codes")
@@ -104,13 +109,12 @@ def forward_sample(net: BayesNet, n: int, seed: int | np.random.Generator = 0) -
     if n < 0:
         raise ValueError("sample size must be non-negative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cols = {v: i for i, v in enumerate(net.names)}
     codes = np.zeros((n, len(net.names)), dtype=np.int64)
     for v in net.topological_order():
-        cum = np.cumsum(net.cpts[v].table[net.row_indices(v, codes, cols)], axis=1)
+        cum = np.cumsum(net.cpts[v].table[net.row_indices(v, codes)], axis=1)
         cum /= cum[:, -1:]  # a validated row may sum to 1 - 1e-9; u < 1 must not reach code arity
         u = rng.random(n)
-        codes[:, cols[v]] = (u[:, None] >= cum).sum(axis=1)
+        codes[:, net._column[v]] = (u[:, None] >= cum).sum(axis=1)
     return Dataset(net.names, tuple(v.domain for v in net.variables), codes)
 
 
@@ -154,6 +158,24 @@ def collect_until_matched(source: BayesNet, evidences: Sequence[Assignment], per
     return Dataset(source.names, domains, total)
 
 
+def _net_codes(net: BayesNet, data: Dataset) -> np.ndarray:
+    """``data``'s codes with one column per variable of ``net``, in net order.
+
+    This is how a dataset binds to a net: by variable name and domain.
+    Every net variable must be a column of ``data`` (``KeyError``
+    otherwise, from :meth:`Dataset.column`) whose domain lists the net's
+    labels in the net's order (``ValueError`` otherwise); columns the net
+    does not name are ignored.  When the net's columns lead ``data`` in
+    net order the result is a read-only view of ``data.codes``, else a copy.
+    """
+    cols = [data.column(v) for v in net.names]
+    for v, j in zip(net.names, cols):
+        if data.domains[j] != net.domain(v):
+            raise ValueError(f"dataset domain of {v!r} does not match the net")
+    in_order = cols == list(range(len(cols)))
+    return data.codes[:, :len(cols)] if in_order else data.codes[:, cols]
+
+
 def cond_freq(data: Dataset, x: Assignment, y: Assignment) -> float:
     """Observed conditional frequency #(x and y) / #(y).
 
@@ -188,6 +210,13 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path, net: BayesNet) -> Dataset:
+    """Read a CSV dataset whose header names variables of ``net``.
+
+    Columns keep the file's order, each with the net's domain for its
+    variable.  Raises ``ValueError`` for an empty file, a column the net
+    does not know, a net variable with no column, a repeated column (from
+    :class:`Dataset`) or a row with a wrong length or an unknown label.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -197,10 +226,7 @@ def load_dataset(path, net: BayesNet) -> Dataset:
         unknown = [h for h in header if h not in set(net.names)]
         if unknown:
             raise ValueError(f"dataset columns not in net: {unknown}")
-        if len(set(header)) != len(header):
-            raise ValueError("duplicate dataset columns")
         missing = [n for n in net.names if n not in header]
         if missing:
             raise ValueError(f"dataset missing variables: {missing}")
-        domains = [net.domain(h) for h in header]
-        return Dataset.from_labels(header, domains, list(reader))
+        return Dataset.from_labels(header, [net.domain(h) for h in header], list(reader))

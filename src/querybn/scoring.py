@@ -26,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import ZeroEvidence, answer, enumerate_joint, marginal, mb_query
+from .inference import ZeroEvidence, answer, enumerate_joint, mb_query
 from .network import BayesNet
 from .queries import (LabeledQuery, QueryDistribution, StatQuery, _query_weights,
                       label_from_data, label_queries)
 from .queries import UnmatchedEvidence  # noqa: F401  raised by label_from_data; re-exported
-from .sampling import Dataset
+from .sampling import Dataset, _net_codes
 
 
 class ZeroProbability(ValueError):
@@ -170,25 +170,24 @@ def nll(b: BayesNet, data: Dataset) -> float:
     """Average negative log-probability (1/|D|) sum log 1/B(d), natural log.
 
     Differs from the KL divergence to the sampling distribution by that
-    distribution's (constant) entropy.  Raises :class:`ZeroProbability` if
-    any tuple has zero probability under ``b``.
+    distribution's (constant) entropy.  ``data`` binds to ``b`` by name
+    and domain (``sampling._net_codes``): a net variable with no column
+    raises ``KeyError``, one whose column has another domain
+    ``ValueError``.  Raises :class:`ZeroProbability` if any tuple has zero
+    probability under ``b``.
     """
     if len(data) == 0:
         raise ValueError("nll needs a non-empty dataset")
-    logp = _log_joint_per_tuple(b, data)
-    return float(-logp.mean())
+    return float(-_log_joint(b, _net_codes(b, data)).mean())
 
 
-def _log_joint_per_tuple(b: BayesNet, data: Dataset) -> np.ndarray:
-    cols = {v: data.column(v) for v in b.names}
-    for v in b.names:
-        if data.domains[cols[v]] != b.domain(v):
-            raise ValueError(f"dataset domain of {v!r} does not match the net")
-    n = len(data)
-    logp = np.zeros(n)
-    for v in b.names:
-        rows = b.row_indices(v, data.codes, cols)
-        vals = b.cpts[v].table[rows, data.codes[:, cols[v]]]
+def _log_joint(b: BayesNet, codes: np.ndarray) -> np.ndarray:
+    """``log B(d)`` of every row of a net-order code matrix, its CPT
+    entries' logs summed in net order; raises :class:`ZeroProbability`
+    naming the first variable, in net order, with a zero entry in some row."""
+    logp = np.zeros(len(codes))
+    for j, v in enumerate(b.names):
+        vals = b.cpts[v].table[b.row_indices(v, codes), codes[:, j]]
         if np.any(vals <= 0.0):
             i = int(np.argmax(vals <= 0.0))
             raise ZeroProbability(f"tuple {i} has zero probability (variable {v!r})")
@@ -217,23 +216,29 @@ def ll_decomposition(b: BayesNet, data: Dataset, class_var: str) -> tuple[float,
 
     Returns ``(sum_i log B(c_i | a_i), sum_i log B(a_i))`` where ``c`` is
     the class variable and ``a`` the remaining variables; the two terms add
-    up to ``sum_i log B(d_i)``.
+    up to ``sum_i log B(d_i)``.  ``data`` binds to ``b`` as in :func:`nll`.
+    Each distinct tuple is scored once, with no elimination: ``log B(d)``
+    is :func:`nll`'s sum of CPT-entry logs, ``B(c | a)`` the blanket query
+    :func:`mb_query` answers from the rows of ``c`` and its children, and
+    ``log B(a)`` their difference.  Raises :class:`ZeroProbability`
+    for a tuple of probability zero, and for one whose ``B(c | a)``
+    underflows to zero in the blanket's product.
     """
     b.var(class_var)
     if len(data) == 0:
         raise ValueError("ll_decomposition needs a non-empty dataset")
-    uniq, counts = np.unique(data.codes, axis=0, return_counts=True)
-    cond_term = 0.0
-    marg_term = 0.0
-    for row, count in zip(uniq, counts):
-        labels = {v: data.domains[data.column(v)][row[data.column(v)]] for v in b.names}
-        evidence = {k: v for k, v in labels.items() if k != class_var}
-        p_ev = marginal(b, evidence)
-        if p_ev <= 0.0:
-            raise ZeroProbability(f"evidence part of tuple {dict(labels)!r} has zero probability")
-        cond = mb_query(b, class_var, labels[class_var], evidence)  # a blanket query
+    codes = _net_codes(b, data)
+    log_d = _log_joint(b, codes)
+    uniq, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+    cond_term = marg_term = 0.0
+    for row, i, count in zip(uniq, first, counts):
+        evidence = dict(zip(b.names, map(b.label, b.names, row)))
+        try:
+            cond = mb_query(b, class_var, evidence.pop(class_var), evidence)  # a blanket query
+        except ZeroEvidence:  # every value's blanket product underflowed
+            cond = 0.0
         if cond <= 0.0:
-            raise ZeroProbability(f"conditional of tuple {dict(labels)!r} is zero")
+            raise ZeroProbability(f"B({class_var} | rest) of tuple {i} underflows to zero")
         cond_term += count * math.log(cond)
-        marg_term += count * math.log(p_ev)
+        marg_term += count * (log_d[i] - math.log(cond))
     return cond_term, marg_term

@@ -389,6 +389,14 @@ class TestLearnCommand:
         assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
                      "--out", str(ex41_files["out"])]) == 2
 
+    def test_qfit_without_a_reference_exits_two(self, ex41_files, capsys):
+        assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
+                     "--queries", str(ex41_files["queries"]),
+                     "--out", str(ex41_files["out"])]) == 2
+        assert "learn --mode qfit needs --truth, --data, or labels on every query atom" \
+            in capsys.readouterr().err
+        assert not (ex41_files["out"] / "net.json").exists()
+
     def test_qfit_labels_via_truth(self, ex41_files):
         out = ex41_files["out"]
         assert main(["learn", "--mode", "qfit", "--net", str(ex41_files["bp"]),
@@ -478,6 +486,13 @@ class TestSampleCommand:
                      "--out", str(out)]) == 0
         assert (out / "data.csv").read_text().strip() == "A,X,C"
 
+    def test_negative_size_exits_two(self, ex41_files, capsys):
+        out = ex41_files["out"]
+        assert main(["sample", "--net", str(ex41_files["truth"]), "-n", "-1",
+                     "--out", str(out)]) == 2
+        assert "sample size must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fixed_seed_is_byte_identical(self, ex41_files, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         for out in (out1, out2):
@@ -544,6 +559,32 @@ class TestReproCommand:
         assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),
                      "--params", "[1]"]) == 2
         assert "--params must be a JSON object" in capsys.readouterr().err
+
+    def test_malformed_params_exit_two(self, tmp_path, capsys):
+        assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),
+                     "--params", "{"]) == 2
+        assert "--params must be a JSON object: Expecting property name" \
+            in capsys.readouterr().err
+
+    def test_zero_jobs_exit_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"), "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_zero_evidence_in_a_run_exits_one_with_a_message(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import querybn.cli as cli
+        from querybn.inference import ZeroEvidence
+
+        def underflowing_run(experiment_id, **kwargs):
+            raise ZeroEvidence({"A1": "0", "A2": "0"})
+
+        monkeypatch.setattr(cli, "run_experiment", underflowing_run)
+        out = tmp_path / "o"
+        assert main(["repro", "--id", "ex4.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "repro ex4.2: evidence has zero probability: A1=0, A2=0\n"
+        assert not out.exists()
 
     def test_unknown_params_exit_two_and_are_named(self, tmp_path, capsys):
         assert main(["repro", "--id", "hoeffding", "--out", str(tmp_path / "o"),

@@ -74,6 +74,10 @@ class TestEx43:
         with pytest.raises(ValueError, match="rows"):
             run_ex43(n=5, n_samples=64)
 
+    def test_attribute_count_gate(self):
+        with pytest.raises(ValueError, match="ex4.3 needs at least 4 attributes"):
+            run_ex43(n=3)
+
 
 class TestTable1:
     def test_grid_and_criteria(self):

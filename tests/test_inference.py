@@ -322,11 +322,22 @@ class TestMbQuery:
         with pytest.raises(ValueError, match="Markov blanket"):
             mb_query(net, "X", "1", {"A": "1"})  # child C missing
 
+    def test_target_in_the_evidence_is_refused(self):
+        with pytest.raises(ValueError, match="target 'X' must not appear in the evidence"):
+            mb_posterior(chain_net(), "X", {"A": "1", "X": "0", "C": "1"})
+
     def test_all_scores_zero_is_zero_evidence(self):
         net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
                        {"A": [[0.5, 0.5]], "B": [[1.0, 0.0], [1.0, 0.0]]})
         with pytest.raises(ZeroEvidence):
             mb_query(net, "A", "1", {"B": "1"})
+
+
+class TestFamilyPosteriorErrors:
+    def test_evidence_the_net_rules_out_is_zero_evidence(self):
+        net, q = ruled_out_blanket_net()
+        with pytest.raises(ZeroEvidence, match="evidence has zero probability: A=1, C=1"):
+            family_posterior(net, "B", q.evidence)
 
 
 class TestAnswerDispatch:

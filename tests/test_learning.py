@@ -149,6 +149,17 @@ class TestDerrDentry:
 
 
 class TestDerrDentryMb:
+    def test_an_entry_it_would_divide_by_must_be_positive(self):
+        # a zero entry consistent with the query makes B 0 and the derivative 0,
+        # so only an entry off the simplex, below zero, reaches the check
+        net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
+                       {"A": [[0.5, 0.5]], "B": [[-0.1, 1.1], [0.3, 0.7]]})
+        lq = LabeledQuery(StatQuery({"A": "0"}, {"B": "0"}), 0.5)
+        with pytest.raises(ValueError, match=r"entry e\[B=0\|A=0\] is zero; gradient undefined"):
+            derr_dentry_mb(net, lq, EntryId("B", 0, 0))
+        zero = net.with_tables({"B": [[0.0, 1.0], [0.3, 0.7]]})
+        assert derr_dentry_mb(zero, lq, EntryId("B", 0, 0)) == 0.0
+
     def _consistent_entries(self, net, q):
         assignment = {**q.target, **q.evidence}
         for eid in net.entry_ids():
@@ -870,6 +881,10 @@ class TestFitCpt:
 
 
 class TestFitFromEvents:
+    def test_no_queries_rejected(self):
+        with pytest.raises(ValueError, match="fit_cpt_from_events needs at least one query"):
+            fit_cpt_from_events(ex41_structure(), [], ex41_truth())
+
     def test_ex41_end_to_end(self):
         truth = ex41_truth()
         qs = [lq.query for lq in ex41_labeled_queries()]

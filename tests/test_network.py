@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querybn import (BayesNet, Dag, EntryId, InvalidNetError, StatQuery, Variable,
-                     clamp_row, d_separated, load_net, net_to_dict, relevant_entries,
+                     clamp_net, clamp_row, d_separated, load_net, net_to_dict, relevant_entries,
                      save_net, validate)
 from querybn.inference import cond_prob, enumerate_marginal
 from querybn.queries import QueryDistribution
@@ -222,7 +222,7 @@ class TestWithTables:
         tables = {v: rng.dirichlet([1.0] * net.arity(v), size=len(net.cpts[v].table))
                   for v in net.names[:3]}
         derived = net.with_tables(tables)
-        for name in ("_var", "_code", "_children", "_topo", "_signature"):
+        for name in ("_var", "_code", "_column", "_children", "_topo", "_signature"):
             assert getattr(derived, name) is getattr(net, name)
         rebuilt = BayesNet(net.variables, net.dag, derived.cpts)
         for v in net.names:
@@ -236,6 +236,15 @@ class TestWithTables:
             q = ({x: "1"}, {y: "0"})
             assert cond_prob(derived, *q) == cond_prob(rebuilt, *q)
             assert cond_prob(net, *q) == cond_prob(net.with_tables({}), *q)
+
+
+class TestClampNet:
+    def test_an_eps_too_wide_for_an_arity_is_refused(self):
+        net = make_net([("A", "01"), ("T", "012")], [("A", "T")],
+                       {"A": [[0.5, 0.5]], "T": [[0.2, 0.3, 0.5]] * 2})
+        assert validate(clamp_net(net, 0.3), eps_clamp=0.3) == []
+        with pytest.raises(ValueError, match="eps 0.4 incompatible with arity 3"):
+            clamp_net(net, 0.4)
 
 
 class TestClampRow:

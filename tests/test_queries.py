@@ -44,6 +44,21 @@ class TestStatQuery:
 
 
 class TestExpandPattern:
+    @pytest.mark.parametrize("roles, message", [
+        ((("C",), ("C", "A1")), "pattern target and evidence variables must be disjoint"),
+        ((("C",), ("A1",), {"A2": "0"}),
+         r"pinned values must name evidence variables; got \['A2'\]"),
+    ], ids=["overlapping-roles", "pinned-non-evidence"])
+    def test_malformed_patterns_are_refused(self, roles, message):
+        with pytest.raises(ValueError, match=message):
+            QueryPattern(*roles)
+
+    @pytest.mark.parametrize("weight", [0.0, -0.5])
+    def test_a_weight_below_or_at_zero_is_refused(self, weight):
+        pat = QueryPattern(("C",), ("A1",))
+        with pytest.raises(ValueError, match="pattern weight must be positive"):
+            expand_pattern(naive_bayes_net(n=2), pat, weight)
+
     def test_classification_pattern_expands_to_all_assignments(self):
         # sq(C; A_1..A_n) over binaries: 2^(n+1) atoms of weight 1/2^(n+1)
         n = 3
@@ -103,6 +118,23 @@ class TestQueryDistribution:
         q = StatQuery({"A": "1"})
         with pytest.raises(ValueError, match="sum"):
             QueryDistribution([(q, 0.5)])
+
+    def test_labeled_needs_every_label(self):
+        q, r = StatQuery({"A": "1"}), StatQuery({"A": "0"})
+        dist = QueryDistribution([(q, 0.5, 0.2), (r, 0.5)])
+        assert not dist.fully_labeled()
+        with pytest.raises(ValueError, match=r"queries without labels: \['P\(A=0\)'\]"):
+            dist.labeled()
+
+    def test_random_query_gives_up_on_a_floor_it_cannot_meet(self):
+        class MostEvidence(np.random.Generator):  # every draw binds all but one variable
+            def integers(self, low, high=None, *args, **kwargs):
+                return high - 1
+
+        net = random_net(np.random.default_rng(3), n_vars=3)
+        with pytest.raises(RuntimeError, match="could not draw a query meeting the "
+                                               "evidence-probability floor"):
+            random_query(MostEvidence(np.random.PCG64(0)), net, min_evidence_prob=0.99)
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -9,7 +9,7 @@ from querybn import (CapExceeded, Dataset, collect_until_matched, cond_freq, for
                      validate)
 from querybn.experiments import ex41_truth, ex43_truth
 from querybn.random_nets import random_net
-from querybn.sampling import load_dataset, save_dataset
+from querybn.sampling import _net_codes, load_dataset, save_dataset
 
 from helpers import make_net
 
@@ -30,6 +30,10 @@ class TestForwardSample:
         data = forward_sample(truth, 100_000, seed=3)
         freq = float((data.codes[:, data.column("C")] == 1).mean())
         assert abs(freq - 0.25) < 0.01
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="sample size must be non-negative"):
+            forward_sample(ex41_truth(), -1)
 
     def test_deterministic_given_seed(self):
         net = ex41_truth()
@@ -100,10 +104,85 @@ class TestCollectUntilMatched:
         with pytest.raises(CapExceeded, match="drew 2000 tuples"):
             collect_until_matched(net, [{"A": "1"}], per_evidence=1, seed=7)
 
+    def test_negative_quota_is_refused(self):
+        with pytest.raises(ValueError, match="per_evidence must be non-negative"):
+            collect_until_matched(ex41_truth(), [{"A": "1"}], per_evidence=-1)
+
+    @pytest.mark.parametrize("evidences, per_evidence", [([{"A": "1"}], 0), ([], 5)],
+                             ids=["zero-quota", "no-evidence"])
+    def test_nothing_to_match_returns_an_empty_dataset(self, evidences, per_evidence):
+        net = ex41_truth()
+        data = collect_until_matched(net, evidences, per_evidence=per_evidence, seed=1)
+        assert len(data) == 0 and data.codes.shape == (0, 3)
+        assert data.variables == net.names
+        assert data.domains == tuple(v.domain for v in net.variables)
+
     def test_all_tuples_are_returned_not_just_matches(self):
         net = ex41_truth()
         data = collect_until_matched(net, [{"A": "1"}], per_evidence=50, seed=8)
         assert len(data) > int(data.match_mask({"A": "1"}).sum()) >= 50
+
+
+class TestDataset:
+    @pytest.mark.parametrize("domains, codes, message", [
+        ((("0", "1"), ("0", "1")), [[0, 1, 0]], r"codes must be a \(n_tuples, n_variables\)"),
+        ((("0", "1"), ("0", "1")), [0, 1], r"codes must be a \(n_tuples, n_variables\)"),
+        ((("0", "1"),), [[0, 7]], "one domain per column"),
+        ((("0", "1"), ("0", "1")), [[0, 2]], "column 'B' has out-of-domain codes"),
+        ((("0", "1"), ("0", "1")), [[-1, 0]], "column 'A' has out-of-domain codes"),
+    ], ids=["too-many-columns", "one-dimensional", "one-domain-short", "code-above-domain",
+            "negative-code"])
+    def test_malformed_codes_are_refused(self, domains, codes, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(("A", "B"), domains, codes)
+
+    def test_a_repeated_name_cannot_be_read_two_ways(self):
+        # labels(0) would read the second column, match_mask and cond_freq the first
+        with pytest.raises(ValueError, match="duplicate dataset columns"):
+            Dataset(("A", "A"), (("0", "1"), ("0", "1")), [[0, 1]])
+
+    def test_unknown_names_and_values(self):
+        data = Dataset(("A", "B"), (("0", "1"), ("x", "y")), [[0, 1]])
+        with pytest.raises(KeyError, match="dataset has no variable 'Z'"):
+            data.column("Z")
+        with pytest.raises(ValueError, match="value 'z' not in domain of 'B'"):
+            data.encode({"A": "1", "B": "z"})
+        assert data.encode({"B": "y", "A": "0"}) == {1: 1, 0: 0}
+
+    def test_from_labels_refuses_a_short_row(self):
+        with pytest.raises(ValueError, match="row 1: expected 2 values, got 1"):
+            Dataset.from_labels(("A", "B"), (("0", "1"), ("0", "1")), [("0", "1"), ("1",)])
+
+
+class TestNetCodes:
+    """How a dataset binds to a net: by variable name and domain."""
+
+    def test_net_order_columns_are_a_view_not_a_copy(self):
+        net = ex41_truth()
+        data = forward_sample(net, 50, seed=20)
+        codes = _net_codes(net, data)
+        assert np.shares_memory(codes, data.codes) and np.array_equal(codes, data.codes)
+        wider = Dataset(data.variables + ("Z",), data.domains + (("0", "1"),),
+                        np.hstack([data.codes, np.zeros((50, 1), dtype=np.int64)]))
+        codes = _net_codes(net, wider)
+        assert np.shares_memory(codes, wider.codes) and np.array_equal(codes, data.codes)
+
+    def test_shuffled_and_extra_columns_come_back_in_net_order(self):
+        net = ex41_truth()
+        data = forward_sample(net, 50, seed=21)
+        order = [2, 0, 1]
+        shuffled = Dataset(("Z",) + tuple(data.variables[j] for j in order),
+                           (("0", "1"),) + tuple(data.domains[j] for j in order),
+                           np.hstack([np.ones((50, 1), dtype=np.int64), data.codes[:, order]]))
+        assert np.array_equal(_net_codes(net, shuffled), data.codes)
+
+    def test_a_missing_variable_or_another_domain_is_refused(self):
+        net = ex41_truth()
+        with pytest.raises(KeyError, match="dataset has no variable 'X'"):
+            _net_codes(net, Dataset(("A", "C"), (("0", "1"), ("0", "1")), [[0, 1]]))
+        flipped = Dataset(("A", "X", "C"), (("0", "1"), ("1", "0"), ("0", "1")), [[0, 1, 1]])
+        with pytest.raises(ValueError, match="dataset domain of 'X' does not match the net"):
+            _net_codes(net, flipped)
 
 
 class TestCondFreq:
@@ -181,3 +260,16 @@ class TestDatasetFile:
         path.write_text("A,X\n1,1\n")
         with pytest.raises(ValueError, match="missing"):
             load_dataset(path, net)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "dataset file is empty"),
+        ("A,X,C,Q\n", r"dataset columns not in net: \['Q'\]"),
+        ("A,A,X\n", r"dataset missing variables: \['C'\]"),
+        ("A,A,X,C\n0,0,1,1\n", "duplicate dataset columns"),
+        ("A,X,C\n0,1\n", "row 0: expected 3 values, got 2"),
+    ], ids=["empty", "unknown-column", "missing-before-duplicate", "duplicate", "short-row"])
+    def test_loader_errors(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path, ex41_truth())

@@ -10,7 +10,7 @@ from querybn import (LabeledQuery, QueryDistribution, StatQuery, UnmatchedEviden
                      ll_decomposition, nll, true_err, true_kl)
 from querybn.experiments import (ex41_bp, ex41_bsq, ex41_distribution,
                                  ex41_labeled_queries, ex41_truth)
-from querybn.inference import ZeroEvidence, answer
+from querybn.inference import ZeroEvidence, answer, marginal, mb_query
 from querybn.learning import ofe
 from querybn.random_nets import random_net, random_query
 from querybn.sampling import Dataset, forward_sample
@@ -162,6 +162,11 @@ class TestScoreRows:
 
 
 class TestEmpiricalErrFromEvents:
+    def test_empty_query_list_rejected(self):
+        data = forward_sample(ex41_truth(), 10, seed=1)
+        with pytest.raises(ValueError, match="empirical_err_from_events needs at least one query"):
+            empirical_err_from_events(ex41_bp(), [], data)
+
     def test_single_matching_tuple(self):
         net = ex41_bp()
         data = Dataset(("A", "X", "C"), (("0", "1"),) * 3, np.array([[1, 1, 1]]))
@@ -239,6 +244,10 @@ class TestNll:
         with pytest.raises(ZeroProbability):
             nll(net, data)
 
+    def test_empty_data_is_refused(self):
+        with pytest.raises(ValueError, match="nll needs a non-empty dataset"):
+            nll(ex41_truth(), forward_sample(ex41_truth(), 0))
+
 
 class TestTrueKl:
     def test_identity_is_zero(self):
@@ -261,6 +270,12 @@ class TestTrueKl:
             if p > 0:
                 direct += p * math.log(p / hyp.joint_prob(a))
         assert true_kl(hyp, truth) == pytest.approx(direct, abs=1e-12)
+
+    def test_nets_over_different_variables_are_refused(self):
+        other = make_net([("A", "01"), ("X", "01"), ("D", "01")], [],
+                         {v: [[0.5, 0.5]] for v in "AXD"})
+        with pytest.raises(ValueError, match="nets must share variables and domains"):
+            true_kl(other, chain_net())
 
     def test_support_violation(self):
         truth = chain_net(p_a=0.5)
@@ -291,6 +306,109 @@ class TestLlDecomposition:
         a = ll_decomposition(net, forward_sample(net, 300, seed=49), "C")
         b = ll_decomposition(net, forward_sample(net, 300, seed=49), "C")
         assert a == b
+
+
+def _shuffled(rng, data: Dataset) -> Dataset:
+    """``data`` with its columns in a random order other than the net's."""
+    order = list(range(len(data.variables)))
+    while order == sorted(order):
+        order = [int(j) for j in rng.permutation(len(order))]
+    return Dataset(tuple(data.variables[j] for j in order),
+                   tuple(data.domains[j] for j in order), data.codes[:, order])
+
+
+def _ll_by_elimination(b, data, class_var):
+    """``ll_decomposition`` as sums over distinct tuples of
+    ``count * log mb_query`` and ``count * log marginal(b, a)``."""
+    uniq, counts = np.unique(data.codes, axis=0, return_counts=True)
+    cond = marg = 0.0
+    for row, count in zip(uniq, counts):
+        labels = {v: data.domains[j][row[j]] for j, v in enumerate(data.variables)}
+        evidence = {v: labels[v] for v in b.names if v != class_var}
+        cond += count * math.log(mb_query(b, class_var, labels[class_var], evidence))
+        marg += count * math.log(marginal(b, evidence))
+    return cond, marg
+
+
+class TestLlDecompositionReference:
+    def test_matches_the_elimination_form_on_shuffled_columns(self):
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            net = random_net(rng, n_vars=int(rng.integers(2, 7)), arities=(2, 3, 4),
+                             max_parents=int(rng.integers(1, 4)))
+            data = _shuffled(rng, forward_sample(net, int(rng.integers(1, 300)), seed=rng))
+            class_var = str(rng.choice(net.names))
+            got = ll_decomposition(net, data, class_var)
+            for value, expected in zip(got, _ll_by_elimination(net, data, class_var)):
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_runs_no_elimination(self, monkeypatch):
+        import querybn.inference as inference
+
+        calls = []
+        replay = inference._replay
+        monkeypatch.setattr(inference, "_replay",
+                            lambda *args: calls.append(1) or replay(*args))
+        net = naive_bayes_net(n=4)
+        data = forward_sample(net, 200, seed=51)
+        assert marginal(net, {"C": "1"}) > 0.0 and len(calls) == 1  # the counter counts
+        calls.clear()
+        ll_decomposition(net, data, "C")
+        assert calls == []
+
+    def test_a_zero_probability_tuple_names_its_variable(self):
+        net = make_net([("C", "01"), ("V", "01")], [],
+                       {"C": [[0.5, 0.5]], "V": [[1.0, 0.0]]})
+        data = Dataset(("C", "V"), (("0", "1"), ("0", "1")), np.array([[0, 0], [1, 1]]))
+        with pytest.raises(ZeroProbability, match=r"tuple 1 has zero probability \(variable 'V'\)"):
+            ll_decomposition(net, data, "C")
+
+    @pytest.mark.parametrize("n, c", [(600, 0), (250, 1)],
+                             ids=["every-value-underflows", "the-class-value-underflows"])
+    def test_a_blanket_product_that_underflows_is_zero_probability(self, n, c):
+        # every entry is positive, so log B(d) is finite; B(C | A1..An) is not
+        from querybn.experiments import ex42_truth
+
+        net = ex42_truth(n)
+        codes = np.zeros((1, n + 1), dtype=np.int64)
+        codes[0, 0] = c
+        data = Dataset(net.names, tuple(v.domain for v in net.variables), codes)
+        assert math.isfinite(nll(net, data))
+        with pytest.raises(ZeroProbability, match=r"B\(C \| rest\) of tuple 0 underflows to zero"):
+            ll_decomposition(net, data, "C")
+
+    def test_empty_data_is_refused(self):
+        with pytest.raises(ValueError, match="ll_decomposition needs a non-empty dataset"):
+            ll_decomposition(naive_bayes_net(), forward_sample(naive_bayes_net(), 0), "C")
+
+
+class TestDatasetBinding:
+    """``ofe``, ``nll`` and ``ll_decomposition`` read a dataset by name and domain."""
+
+    def test_a_domain_in_another_order_is_refused(self):
+        net = make_net([("A", "01")], [], {"A": [[0.5, 0.5]]})
+        # nine tuples of A="1", coded 0 against the flipped domain
+        data = Dataset(("A",), (("1", "0"),), np.array([[0]] * 9 + [[1]]))
+        for score in (lambda: ofe(net, data), lambda: nll(net, data),
+                      lambda: ll_decomposition(net, data, "A")):
+            with pytest.raises(ValueError, match="dataset domain of 'A' does not match the net"):
+                score()
+
+    def test_shuffled_columns_give_the_same_bits(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            net = random_net(rng, n_vars=int(rng.integers(2, 7)), arities=(2, 3, 4),
+                             max_parents=2)
+            data = forward_sample(net, 200, seed=rng)
+            shuffled = _shuffled(rng, data)
+            for alpha in (0.0, 1.0):
+                a, b = ofe(net, data, alpha), ofe(net, shuffled, alpha)
+                assert all(a.cpts[v].table.tobytes() == b.cpts[v].table.tobytes()
+                           for v in net.names)
+            assert nll(net, data) == nll(net, shuffled)
+            class_var = str(rng.choice(net.names))
+            assert ll_decomposition(net, data, class_var) == ll_decomposition(net, shuffled,
+                                                                               class_var)
 
 
 class TestReportOutput:

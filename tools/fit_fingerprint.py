@@ -32,6 +32,17 @@ random (truth, hypothesis) pairs; and every ``querybn repro`` id at seed
 float as hex (an answer that raises ``ZeroEvidence`` is that name); a
 ``repro`` run's covers its exit code, its stdout with the output
 directory masked, and the bytes of every file it wrote.
+
+Last come event data: on 48 random nets (arities 2-4) the codes of a
+``forward_sample``, the tables of ``ofe`` at alpha 0 and 1, and ``nll``
+of the net, of both fits and of the alpha-0 fit on a second sample (a
+float as hex, or the ``ZeroProbability`` message), every odd net's data
+with its columns shuffled out of net order; and on 4 random nets the
+outputs of ``querybn sample``, ``learn --mode ofe`` and ``eval --data``
+through ``cli.main``, the odd nets' CSV rewritten with shuffled columns
+before it is learned from.  A CLI run's digest covers its exit code, its
+stdout with the output directory masked, and the bytes of the files it
+wrote.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -185,6 +197,76 @@ def _repro_digests(tmp: Path):
         yield experiment, hashlib.sha256(repr((rc, printed, files)).encode()).hexdigest()
 
 
+def _shuffled(rng, data: qb.Dataset) -> qb.Dataset:
+    """``data`` with its columns in a random order other than the net's."""
+    order = list(range(len(data.variables)))
+    while order == sorted(order):
+        order = [int(j) for j in rng.permutation(len(order))]
+    return qb.Dataset(tuple(data.variables[j] for j in order),
+                      tuple(data.domains[j] for j in order), data.codes[:, order])
+
+
+def _nll_hex(net: qb.BayesNet, data: qb.Dataset) -> str:
+    try:
+        return qb.nll(net, data).hex()
+    except qb.ZeroProbability as exc:
+        return f"ZeroProbability {exc}"
+
+
+def _event_cases(rng, i: int):
+    """(name, digest) of sampling, OFE and nll on one random net; odd
+    nets' data has its columns shuffled out of net order."""
+    truth = random_net(rng, n_vars=int(rng.integers(2, 8)), arities=(2, 3, 4),
+                       max_parents=int(rng.integers(1, 4)))
+    data = qb.forward_sample(truth, int(rng.integers(1, 400)), seed=int(rng.integers(2 ** 31)))
+    yield f"forward_sample net {i}", hashlib.sha256(data.codes.tobytes()).hexdigest()
+    if i % 2:
+        data = _shuffled(rng, data)
+    fits = [qb.ofe(truth, data, alpha=alpha) for alpha in (0.0, 1.0)]
+    for alpha, fit in zip((0, 1), fits):
+        yield f"ofe alpha {alpha} net {i}", hashlib.sha256(b"".join(_tables(fit))).hexdigest()
+    other = qb.forward_sample(truth, 200, seed=int(rng.integers(2 ** 31)))
+    values = [_nll_hex(truth, data), _nll_hex(fits[0], data), _nll_hex(fits[1], data),
+              _nll_hex(fits[0], other)]
+    yield f"nll net {i}", hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def _cli_digest(argv: list[str], out: Path, files: Sequence[str]) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli_main(argv + ["--out", str(out)])
+    printed = stdout.getvalue().replace(str(out), "<out>")  # the temporary directory
+    blob = [(name, (out / name).read_bytes()) for name in files]
+    return hashlib.sha256(repr((rc, printed, blob)).encode()).hexdigest()
+
+
+def _cli_event_cases(rng, i: int, tmp: Path):
+    """(name, digest) of ``sample``, ``learn --mode ofe`` and ``eval
+    --data`` on one random net, with queries whose evidence the sample
+    matches; odd nets' CSV has its columns shuffled first."""
+    truth = random_net(rng, n_vars=int(rng.integers(3, 7)), arities=(2, 3, 4))
+    net_path, query_path = tmp / f"net{i}.json", tmp / f"queries{i}.json"
+    qb.save_net(truth, net_path)
+    out = tmp / f"cli{i}"
+    yield f"cli sample net {i}", _cli_digest(
+        ["sample", "--net", str(net_path), "-n", "300", "--seed", str(i)], out / "sample",
+        ["data.csv"])
+    data_path = out / "sample" / "data.csv"
+    data = qb.load_dataset(data_path, truth)
+    if i % 2:
+        data_path = out / "shuffled.csv"
+        qb.save_dataset(_shuffled(rng, data), data_path)
+    qs = [q for q in (random_query(rng, truth, max_target=2) for _ in range(6))
+          if data.match_mask(q.evidence).any()]
+    qb.save_queries(query_path, [(q, 1.0 / len(qs), None) for q in qs])
+    yield f"cli learn ofe net {i}", _cli_digest(
+        ["learn", "--mode", "ofe", "--net", str(net_path), "--data", str(data_path),
+         "--alpha", "1"], out / "ofe", ["net.json"])
+    yield f"cli eval data net {i}", _cli_digest(
+        ["eval", "--net", str(out / "ofe" / "net.json"), "--queries", str(query_path),
+         "--data", str(data_path)], out / "eval", ["report.json", "report.csv"])
+
+
 def cases():
     """(name, digest) for every case, in a fixed order."""
     qfit = QFit()
@@ -246,6 +328,12 @@ def cases():
     with tempfile.TemporaryDirectory() as tmp:
         for experiment, digest in _repro_digests(Path(tmp)):
             yield f"repro {experiment} seed 0", digest
+    rng = np.random.default_rng(71)
+    for i in range(48):
+        yield from _event_cases(rng, i)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(4):
+            yield from _cli_event_cases(rng, i, Path(tmp))
 
 
 if __name__ == "__main__":
