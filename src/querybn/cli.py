@@ -3,7 +3,7 @@
 Subcommands: ``validate``, ``eval``, ``learn``, ``sample``, ``bounds``,
 ``repro``.  Exit codes: 0 success (criteria pass / no violations), 1
 domain failure (violations, failing criteria, illegal queries), 2 usage
-or parse errors.  Every subcommand honors ``--seed`` (default 0, never
+or parse errors.  Every subcommand accepts ``--seed`` (default 0, never
 wall clock) so runs are reproducible byte for byte.
 """
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="event CSV: conditional-frequency references")
     p.add_argument("--out", default="out")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted for uniformity; unused")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("learn", help="fit CPTs for a fixed structure")

@@ -22,24 +22,29 @@ its evidence and one for its evidence and target, and the replay gives
 at once.  One batched reverse sweep seeded with ``c = 2w(B - p) / Z0``
 on the second row and ``-cB`` on the first then gives the form above
 multiplied out, so no entry is divided by; a 0/1 mask of the rows whose
-query can affect a family keeps its exact zeros.  A label within
+query can affect a family (its raw-entry rule, ``entry_live`` of
+:func:`network._relevance`) keeps its exact zeros.  A label within
 ``TIE_RTOL`` relative of the replay's answer counts as met.
 ``derr_dentry`` keeps the family-posterior form and ``derr_dentry_mb``
 the closed form ``2 (B - p) / e[q|r] * B * (1 - B)`` of a Markov-blanket
 query's consistent entries, with ``B`` from ``mb_posterior``: two
 implementations independent of the batch and of each other.
 
-``fit_cpt`` builds the program once.  A line-search round scores up to
-``LINE_BATCH`` step halvings (``t``, ``t/2``, ``t/4``) in one batched
-replay of their clamped tables (``_evaluate``), with a candidate axis in
-front of the query rows and no net built, and accepts the first that
-lowers the error, so trials, steps and results are those of halving one
-step at a time.  The accepted candidate's registers are kept, so each
-gradient costs one batched reverse sweep and no replay, and comes back
-as one stack per arity.  A candidate thus eliminates the evidence-free
-net over ``2Q`` rows for ``Q`` queries, where per-query plans would each
-eliminate a net sliced by their own evidence; a net whose evidence-free
-elimination is much wider than its sliced ones pays for that.
+``fit_cpt`` builds the program once and zeroes the mask of every CPT
+outside all its queries' ``requisite`` sets, whose normalised rows cannot
+change any answer (Shachter's Bayes-ball): such a CPT gets an exact zero
+gradient and step, so it keeps its start rows bit for bit.  A line-search
+round scores up to ``LINE_BATCH`` step halvings (``t``, ``t/2``, ``t/4``)
+in one batched replay of their clamped tables (``_evaluate``), with a
+candidate axis in front of the query rows and no net built, and accepts
+the first that lowers the error, so trials, steps and results are those
+of halving one step at a time.  The accepted candidate's registers are
+kept, so each gradient costs one batched reverse sweep and no replay,
+and comes back as one stack per arity.  A candidate thus eliminates the
+evidence-free net over ``2Q`` rows for ``Q`` queries, where per-query
+plans would each eliminate a net sliced by their own evidence; a net
+whose evidence-free elimination is much wider than its sliced ones pays
+for that.
 
 The optimizer never touches entries directly: each row is parameterized
 as softmax of unconstrained scores, so rows sum to one by construction
@@ -68,7 +73,7 @@ import numpy as np
 from . import bounds
 from .inference import (ZeroEvidence, _compile, _Plan, _replay, _reverse, cond_prob,
                         family_posterior, is_markov_blanket_query, mb_posterior)
-from .network import BayesNet, EntryId, _bayes_ball, clamp_row
+from .network import BayesNet, EntryId, _relevance, clamp_row
 from .queries import LabeledQuery, StatQuery, _query_weights, label_from_data
 from .sampling import Dataset, _net_codes, collect_until_matched
 
@@ -113,16 +118,6 @@ def ofe(structure: BayesNet, data: Dataset, alpha: float = 0.0) -> BayesNet:
 # -- analytic gradients ------------------------------------------------------------
 
 
-def _can_affect(b: BayesNet, q: StatQuery) -> dict[str, bool]:
-    """Per variable, in net order, False only when B(target|evidence) has an
-    identically zero derivative in every entry of its CPT: its family is fully
-    fixed by the evidence or d-separated from the target.  One Bayes-ball pass
-    from the targets decides all: it bottom-marks every target, no observed
-    node, and each unobserved node an active trail reaches."""
-    _, bottom = _bayes_ball(b, q.target, set(q.evidence))
-    return {v: v in bottom or any(p in bottom for p in b.parents(v)) for v in b.names}
-
-
 def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
     """``scale * (P(q,r | x,y) - P(q,r | y)) / e[q|r]`` for every entry of
     ``v``'s CPT, from two family posteriors.
@@ -136,18 +131,20 @@ def _db_table(b: BayesNet, v: str, q: StatQuery, scale: float) -> np.ndarray:
 
 
 def _check_positive(b: BayesNet, v: str) -> None:
-    """Raise ``ValueError`` naming the first zero entry of ``v``'s CPT."""
+    """Raise ``ValueError`` naming the first entry of ``v``'s CPT that is
+    not positive (zero, or below zero off the simplex)."""
     table = b.cpts[v].table
     if (table <= 0.0).any():
         row, col = np.argwhere(table <= 0.0)[0]
-        raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is zero; "
-                         "the derivative form divides by it (fit against a clamped net)")
+        raise ValueError(f"entry {b.describe_entry(EntryId(v, int(row), int(col)))} is not "
+                         "positive; the derivative form divides by it (fit against a clamped net)")
 
 
 def db_dentry(b: BayesNet, q: StatQuery, e: EntryId) -> float:
     """Derivative of the answered conditional with respect to one raw CPT
-    entry, holding all other entries fixed."""
-    if not _can_affect(b, q)[e.var]:
+    entry, holding all other entries fixed: exactly 0 outside the query's
+    ``entry_live`` set (:func:`network._relevance`)."""
+    if e.var not in _relevance(b, q.target, q.evidence)[1]:
         return 0.0
     B = cond_prob(b, q.target, q.evidence)
     return float(_db_table(b, e.var, q, B)[e.row, e.value])
@@ -172,7 +169,8 @@ def derr_dentry_mb(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
     Requires the query's evidence to cover the target's Markov blanket.
     Entries whose family lacks the target or whose event (value, parent
     row) contradicts the query's assignment contribute 0 by convention.
-    A zero entry raises ``ValueError`` unless the numerator is 0.
+    An entry that is not positive raises ``ValueError`` unless the
+    numerator is 0.
     """
     q = lq.query
     if not is_markov_blanket_query(b, q):
@@ -189,7 +187,7 @@ def derr_dentry_mb(b: BayesNet, lq: LabeledQuery, e: EntryId) -> float:
         return 0.0
     entry = float(b.cpts[e.var].table[e.row, e.value])
     if entry <= 0.0:
-        raise ValueError(f"entry {b.describe_entry(e)} is zero; gradient undefined")
+        raise ValueError(f"entry {b.describe_entry(e)} is not positive; gradient undefined")
     return numer / entry
 
 
@@ -206,8 +204,8 @@ def grad(b: BayesNet, qs: Sequence[LabeledQuery], weights: Sequence[float] | Non
     (``TIE_RTOL``) counts as met and gives exact zeros, as do entries whose
     family is d-separated from a query's target.  Evidence of probability
     zero raises :class:`ZeroEvidence`, for a blanket query too, as
-    :func:`answer` does.  A zero entry in a family
-    the query can affect raises ``ValueError``, as in :func:`db_dentry`.
+    :func:`answer` does.  An entry that is not positive, in a family the
+    query can affect, raises ``ValueError``, as in :func:`db_dentry`.
     """
     if not qs:
         raise ValueError("grad needs at least one labeled query")
@@ -255,10 +253,13 @@ def _unstack(layout: _Layout, stacks: Mapping[int, np.ndarray]) -> dict[str, np.
 class _Program:
     """A query set as one batch over the evidence-free plan, and the one owner
     of its ``(Q,)`` ``labels`` and ``weights``, each query's ``evidence`` (for
-    :class:`ZeroEvidence`) and ``affected[k, i]``: whether query ``k`` can
-    affect the CPT at net position ``i`` (:func:`_can_affect`, run once per
-    role of target and evidence variables).  Query ``k`` owns batch rows
-    ``2k`` (its evidence) and ``2k + 1`` (its evidence and target).
+    :class:`ZeroEvidence`), ``affected[k, i]``: whether a raw entry of the
+    CPT at net position ``i`` can move query ``k``'s answer (its
+    ``entry_live`` set), and ``live``: the variables some query's normalised
+    rows depend on (the union of the ``requisite`` sets), both from
+    :func:`network._relevance`, run once per role of target and evidence
+    variables.  Query ``k`` owns batch rows ``2k`` (its evidence) and
+    ``2k + 1`` (its evidence and target).
     ``lam[i]`` holds, for each row, the 0/1 indicator of variable ``i``'s
     observed value (all ones where the row leaves it free), shaped to
     broadcast against its CPT, or is None when no row observes it.  CPT
@@ -266,8 +267,10 @@ class _Program:
     B(y)`` and ``Z1 = B(x, y)`` for every query.  ``coef[m]`` holds, for the
     variables of arity ``m`` laid out as in ``layout``, ``lam`` times the
     query's ``affected`` bit, shaped ``(rows, CPT rows, m)``, so the summed
-    register adjoints give exact zeros outside affected families.  Built from
-    the structure and the queries, never from values.
+    register adjoints give exact zeros outside affected families;
+    :func:`fit_cpt` also zeroes the rows of every variable outside ``live``
+    in its own program.  Built from the structure and the queries, never
+    from values.
     """
 
     plan: _Plan
@@ -275,6 +278,7 @@ class _Program:
     weights: np.ndarray
     evidence: tuple[Mapping[str, str], ...]
     affected: np.ndarray
+    live: frozenset[str]
     layout: _Layout
     lam: tuple[np.ndarray | None, ...]
     coef: dict[int, np.ndarray]
@@ -283,7 +287,7 @@ class _Program:
 def _program(b: BayesNet, qs: Sequence[LabeledQuery],
              weights: Sequence[float] | None = None) -> _Program:
     """Compile ``qs`` on ``b``'s structure into a :class:`_Program`, with one
-    :func:`_can_affect` pass per role; reads no CPT value."""
+    :func:`network._relevance` pass per role; reads no CPT value."""
     rows = 2 * len(qs)
     weights = np.array(_query_weights(len(qs), weights))
     # value codes of each query's evidence and evidence-and-target rows, -1 if free
@@ -295,8 +299,9 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
             codes[k, int(v in q.target):, b._column[v]] = b.code(v, val)
         role = (frozenset(q.target), frozenset(q.evidence))
         if role not in roles:
-            roles[role] = list(_can_affect(b, q).values())
-        affected.append(roles[role])
+            requisite, entry_live = _relevance(b, *role)
+            roles[role] = requisite, [v in entry_live for v in b.names]
+        affected.append(roles[role][1])
     affected = np.array(affected, dtype=bool)
     plan = _compile(b.signature(), frozenset())
     lam, coef = [], {}
@@ -310,7 +315,8 @@ def _program(b: BayesNet, qs: Sequence[LabeledQuery],
         coef[v] = np.broadcast_to(mask * ind, (rows,) + family).reshape(rows, -1, family[-1])
     layout = _layout(b)
     return _Program(plan, np.array([lq.label for lq in qs]), weights,
-                    tuple(lq.query.evidence for lq in qs), affected, layout, tuple(lam),
+                    tuple(lq.query.evidence for lq in qs), affected,
+                    frozenset().union(*(req for req, _ in roles.values())), layout, tuple(lam),
                     _stack(layout, coef))
 
 
@@ -579,6 +585,9 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     halving one step at a time.  Each gradient is one batched sweep over
     the accepted candidate's registers and comes back as one stack per
     arity.  A net is built only for ``on_step`` and for the returned fit.
+    A CPT that no query requires (``requisite_cpd_vars``) cannot change any
+    answer while its rows stay normalised, so it is not fitted: it keeps
+    its start rows, bit for bit, in every ``on_step`` net and in the result.
     ``weights``, one per query and ``1/len(qs)`` each by default, weight the errors.
     """
     if not qs:
@@ -591,6 +600,9 @@ def fit_cpt(structure: BayesNet, qs: Sequence[LabeledQuery], opts: FitOptions = 
     rng = np.random.default_rng(opts.seed)
     prog = _program(structure, qs, weights)
     layout = prog.layout
+    for v, (m, rows) in layout.items():
+        if v not in prog.live:  # its gradient and step are then exactly 0
+            prog.coef[m][:, rows] = 0.0
     trace: list[TraceRow] = []
     best: tuple[float, int, dict[int, np.ndarray], bool] | None = None
 

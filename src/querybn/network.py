@@ -20,12 +20,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .queries import StatQuery
 
 # A (partial) assignment maps variable names to value labels.
 Assignment = Mapping[str, str]
@@ -341,9 +338,8 @@ def _bayes_ball(net: BayesNet, sources: Iterable[str], observed: set[str]) -> tu
     mark is set once, so each node sends the ball each way at most once.
 
     Returns ``(top, bottom)`` marks.  A node is reachable through an active
-    trail iff it carries either mark; the CPT of a node can influence the
-    conditional of the sources given the observations iff the node is
-    top-marked (the "requisite probability node" criterion).
+    trail iff it carries either mark.  :func:`_relevance` reads the two
+    relevance rules off the marks.
     """
     top: set[str] = set()
     bottom: set[str] = set()
@@ -360,6 +356,31 @@ def _bayes_ball(net: BayesNet, sources: Iterable[str], observed: set[str]) -> tu
     return top, bottom
 
 
+def _relevance(net: BayesNet, targets: Iterable[str], evidence: Iterable[str],
+               ) -> tuple[frozenset[str], frozenset[str]]:
+    """``(requisite, entry_live)``: the variables whose CPT can change
+    ``p(targets | evidence)``, by two rules read off one Bayes-ball pass.
+
+    - ``requisite``, the top-marked nodes, holds the CPTs whose rows, kept
+      normalised, can change the conditional (Shachter's requisite
+      probability nodes).  Re-distributing a row of any other CPT leaves
+      it exactly as it was.
+    - ``entry_live`` holds the CPTs whose family holds a bottom-marked
+      node: a node itself bottom-marked or the child of one.  These are
+      the CPTs where changing one raw entry on its own, the row left
+      unnormalised, has a non-zero derivative; every other CPT's family
+      is fully fixed by the evidence or d-separated from the targets.
+
+    ``requisite`` is a subset of ``entry_live``: an unobserved node the
+    ball reaches is bottom-marked, and an observed node is top-marked only
+    by a ball from a parent, which that parent sent down as it was
+    bottom-marked.  A barren leaf below a target is entry-live but not
+    requisite.
+    """
+    top, bottom = _bayes_ball(net, targets, set(evidence))
+    return frozenset(top), frozenset(bottom.union(*(net.children(n) for n in bottom)))
+
+
 def d_separated(net: BayesNet, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
     """True iff every trail between ``xs`` and ``ys`` is blocked given ``zs``."""
     xs, ys, zs = set(xs), set(ys), set(zs)
@@ -373,30 +394,12 @@ def d_separated(net: BayesNet, xs: Iterable[str], ys: Iterable[str], zs: Iterabl
 
 
 def requisite_cpd_vars(net: BayesNet, targets: Iterable[str], evidence: Iterable[str]) -> frozenset[str]:
-    """Variables whose CPT can influence p(targets | evidence).
-
-    These are the top-marked nodes of a Bayes-ball pass.  Rows of every
-    other variable may be perturbed (and renormalized) without changing the
-    conditional.
-    """
-    targets, evidence = set(targets), set(evidence)
-    top, _ = _bayes_ball(net, targets, evidence)
-    return frozenset(top)
-
-
-def relevant_entries(net: BayesNet, queries: Iterable[StatQuery]) -> set[EntryId]:
-    """CPT entries that can affect the net's answer to some query in ``queries``.
-
-    Entries outside the returned set provably cannot change any answered
-    conditional, however their row is re-distributed.
-    """
-    needed: set[str] = set()
-    for q in queries:
-        needed |= requisite_cpd_vars(net, q.target.keys(), q.evidence.keys())
-    out: set[EntryId] = set()
-    for v in needed:
-        out.update(net.entry_ids(v))
-    return out
+    """Variables whose CPT can influence p(targets | evidence): the
+    ``requisite`` set of :func:`_relevance`.  Rows of every other variable
+    may be perturbed (and renormalized) without changing the conditional;
+    ``net.entry_ids(v)`` of the returned variables are the entries that
+    can move it."""
+    return _relevance(net, targets, evidence)[0]
 
 
 # -- validation ----------------------------------------------------------------

@@ -90,6 +90,9 @@ class Dataset:
     def from_labels(cls, variables: Sequence[str], domains: Sequence[Sequence[str]],
                     rows: Iterable[Sequence[str]]) -> "Dataset":
         domains = [tuple(d) for d in domains]
+        if len(domains) != len(variables):
+            raise ValueError(f"{len(domains)} domains for {len(variables)} variables; "
+                             "one domain per column")
         index = [{lab: i for i, lab in enumerate(d)} for d in domains]
         codes = []
         for r, row in enumerate(rows):

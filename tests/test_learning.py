@@ -13,10 +13,10 @@ from querybn import (EntryId, FitOptions, LabeledQuery, QueryDistribution, StatQ
 from querybn.experiments import (ex41_bp, ex41_labeled_queries, ex41_structure,
                                  ex41_truth)
 from querybn.inference import _compile, answer, cond_prob, is_markov_blanket_query
-from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, _can_affect,
-                              _chain_to_scores, _db_table, _layout, _materialize,
-                              _softmax_rows, _stack, _unstack)
-from querybn.network import clamp_net, d_separated
+from querybn.learning import (FIRST_STEP, LINE_BATCH, MAX_HALVINGS, SCORE_BOUND,
+                              _chain_to_scores, _db_table, _initial_scores, _layout,
+                              _materialize, _softmax_rows, _stack, _unstack)
+from querybn.network import _relevance, clamp_net, d_separated
 from querybn.queries import label_queries
 from querybn.random_nets import random_blanket_query, random_net, random_query
 from querybn.sampling import Dataset, cond_freq, forward_sample
@@ -112,7 +112,7 @@ class TestDbDentry:
         net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
                        {"A": [[0.5, 0.5]], "B": [[1.0, 0.0], [0.3, 0.7]]})
         e = EntryId("B", 0, 1)
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match="is not positive"):
             db_dentry(net, StatQuery({"B": "1"}), e)
 
 
@@ -155,7 +155,8 @@ class TestDerrDentryMb:
         net = make_net([("A", "01"), ("B", "01")], [("A", "B")],
                        {"A": [[0.5, 0.5]], "B": [[-0.1, 1.1], [0.3, 0.7]]})
         lq = LabeledQuery(StatQuery({"A": "0"}, {"B": "0"}), 0.5)
-        with pytest.raises(ValueError, match=r"entry e\[B=0\|A=0\] is zero; gradient undefined"):
+        with pytest.raises(ValueError,
+                           match=r"entry e\[B=0\|A=0\] is not positive; gradient undefined"):
             derr_dentry_mb(net, lq, EntryId("B", 0, 0))
         zero = net.with_tables({"B": [[0.0, 1.0], [0.3, 0.7]]})
         assert derr_dentry_mb(zero, lq, EntryId("B", 0, 0)) == 0.0
@@ -283,7 +284,7 @@ class TestGrad:
         with pytest.raises(ZeroEvidence):
             grad(net, [LabeledQuery(StatQuery({"C": "1"}, {"A": "1"}), 0.5)])
         q = StatQuery({"C": "1"}, {"A": "0"})
-        with pytest.raises(ValueError, match="is zero"):
+        with pytest.raises(ValueError, match="is not positive"):
             grad(net, [LabeledQuery(q, 0.0)])
         # a residual of zero needs no derivative, so the zero entry is fine
         assert not any(t.any() for t in grad(net, label_queries(net, [q])).values())
@@ -385,7 +386,8 @@ class TestCanAffect:
             n_evidence = int(rng.integers(0, min(5, len(names) - n_target) + 1))
             q = StatQuery({v: "0" for v in names[:n_target]},
                           {v: "0" for v in names[n_target:n_target + n_evidence]})
-            assert _can_affect(net, q) == {v: _family_can_affect(net, v, q) for v in net.names}
+            entry_live = _relevance(net, q.target, q.evidence)[1]
+            assert entry_live == {v for v in net.names if _family_can_affect(net, v, q)}
 
 
 def _general_queries(rng, net, n):
@@ -572,6 +574,7 @@ class TestGradWorkCount:
         # ex4.2's pattern p(C | A1..A10) grounds to 2,048 queries of one role
         # (target variables, evidence variables): one Bayes-ball pass for all
         import querybn.learning as learning
+        import querybn.network as network
         from querybn.experiments import ex42_truth
         from querybn.queries import QueryPattern, expand_pattern
 
@@ -579,13 +582,13 @@ class TestGradWorkCount:
         pattern = QueryPattern(("C",), tuple(f"A{i}" for i in range(1, 11)))
         lqs = [LabeledQuery(q, 0.5) for q, _ in expand_pattern(net, pattern, 1.0)]
         calls = {"n": 0}
-        real = learning._bayes_ball
+        real = network._bayes_ball
 
         def counting(*args):
             calls["n"] += 1
             return real(*args)
 
-        monkeypatch.setattr(learning, "_bayes_ball", counting)
+        monkeypatch.setattr(network, "_bayes_ball", counting)
         prog = learning._program(net, lqs)
         assert len(lqs) == 2048 and calls["n"] == 1
         assert prog.affected.shape == (2048, 11) and prog.affected.all()
@@ -601,6 +604,9 @@ def _sequential_fit(structure, qs, opts, on_step=None):
     rng = np.random.default_rng(opts.seed)
     prog = L._program(structure, qs)
     layout = prog.layout
+    for v, (m, rows) in layout.items():
+        if v not in prog.live:
+            prog.coef[m][:, rows] = 0.0
     trace, best = [], None
 
     def trial(scores):
@@ -714,6 +720,26 @@ class TestFitCpt:
         fit = fit_cpt(ex41_structure(), ex41_labeled_queries(),
                       FitOptions(restarts=10, max_iters=2000, seed=0))
         assert fit.err < 1e-3
+
+    def test_a_cpt_no_query_requires_keeps_its_start_table(self):
+        # p(A | C): B is a barren leaf below the target, so its raw entries
+        # move the answer but its normalised rows cannot; it is B's start
+        # table, bit for bit, in every step and in the result
+        net = make_net([("A", "01"), ("B", "012"), ("C", "01")], [("A", "B"), ("A", "C")],
+                       {"A": [[0.5, 0.5]], "B": [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]],
+                        "C": [[0.3, 0.7], [0.6, 0.4]]})
+        lqs = [LabeledQuery(StatQuery({"A": "1"}, {"C": "0"}), 0.2)]
+        opts = FitOptions(restarts=1, max_iters=50, seed=2)
+        assert grad(net, lqs)["B"].any()  # a raw entry's derivative
+        # B is the one variable of arity 3, so its stack holds only its rows
+        scores = _initial_scores(net, opts, 0, np.random.default_rng(opts.seed))["B"]
+        _, start = _materialize({3: np.clip(scores, -SCORE_BOUND, SCORE_BOUND)[None]},
+                                opts.eps_clamp)
+        tables = []
+        fit = fit_cpt(net, lqs, opts, on_step=lambda n, it, err: tables.append(n.cpts["B"].table))
+        assert len(tables) > 10
+        for table in tables + [fit.net.cpts["B"].table]:
+            assert table.tobytes() == start[3][0].tobytes()
 
     def test_init_net_at_global_minimum_accepts_no_steps(self):
         rng = np.random.default_rng(60)

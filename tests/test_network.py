@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querybn import (BayesNet, Dag, EntryId, InvalidNetError, StatQuery, Variable,
-                     clamp_net, clamp_row, d_separated, load_net, net_to_dict, relevant_entries,
-                     save_net, validate)
+                     clamp_net, clamp_row, d_separated, load_net, net_to_dict,
+                     requisite_cpd_vars, save_net, validate)
 from querybn.inference import cond_prob, enumerate_marginal
+from querybn.network import _relevance
 from querybn.queries import QueryDistribution
-from querybn.random_nets import random_net
+from querybn.random_nets import random_net, random_query
 
 from helpers import chain_net, collider_net, enumerate_completions, make_net, naive_bayes_net
 
@@ -149,20 +150,29 @@ class TestDSeparation:
         assert checked == 12
 
 
+def _relevant_entries(net, queries):
+    """The entries of every CPT some query requires (``requisite_cpd_vars``):
+    the entries that can move an answer."""
+    return {e for q in queries for v in requisite_cpd_vars(net, q.target, q.evidence)
+            for e in net.entry_ids(v)}
+
+
 class TestRelevantEntries:
     def test_empty_distribution(self):
-        assert relevant_entries(chain_net(), []) == set()
+        assert _relevant_entries(chain_net(), []) == set()
+        assert requisite_cpd_vars(chain_net(), [], {"A"}) == frozenset()
 
     def test_prior_query_needs_only_the_prior(self):
         # For p(A | {}) on the chain, A's answer is its own prior row; the
         # downstream CPTs sum away.  Confirmed by the perturbation check below.
         net = chain_net(p_a=0.3, p_x_a=(0.2, 0.9), p_c_x=(0.4, 0.8))
-        rel = relevant_entries(net, [StatQuery({"A": "1"})])
-        assert rel == set(net.entry_ids("A"))
+        assert requisite_cpd_vars(net, {"A"}, ()) == {"A"}
+        assert _relevant_entries(net, [StatQuery({"A": "1"})]) == set(net.entry_ids("A"))
 
     def test_downstream_query_involves_chain_mechanism(self):
         net = chain_net(p_a=0.3, p_x_a=(0.2, 0.9), p_c_x=(0.4, 0.8))
-        rel = relevant_entries(net, [StatQuery({"C": "1"}, {"A": "1"})])
+        assert requisite_cpd_vars(net, {"C"}, {"A"}) == {"X", "C"}
+        rel = _relevant_entries(net, [StatQuery({"C": "1"}, {"A": "1"})])
         assert rel == set(net.entry_ids("X")) | set(net.entry_ids("C"))
 
     def test_irrelevant_entries_cannot_move_any_answer(self):
@@ -170,12 +180,10 @@ class TestRelevantEntries:
         for _ in range(6):
             net = random_net(rng, n_vars=6, max_parents=2)
             queries = []
-            from querybn.random_nets import random_query
-
             for _ in range(3):
                 queries.append(random_query(rng, net, max_target=1, max_evidence=2))
             dist = QueryDistribution.uniform(list(dict.fromkeys(queries)))
-            rel = relevant_entries(net, dist.queries())
+            rel = _relevant_entries(net, dist.queries())
             baseline = [cond_prob(net, qq.target, qq.evidence) for qq, _ in dist.atoms]
             for eid in set(net.entry_ids()) - rel:
                 for delta in (0.05, -0.05):
@@ -186,6 +194,30 @@ class TestRelevantEntries:
                     for (qq, _), before in zip(dist.atoms, baseline):
                         after = cond_prob(moved, qq.target, qq.evidence)
                         assert abs(after - before) <= 1e-12
+
+
+class TestRelevance:
+    """The two relevance rules of one Bayes-ball pass."""
+
+    def test_a_barren_leaf_below_the_target_is_entry_live_but_not_requisite(self):
+        # p(A) on the chain A -> X -> C: X and C are barren below the target,
+        # so a raw entry of their rows moves the answer, a renormalised row not
+        net = chain_net()
+        assert _relevance(net, {"A"}, ()) == ({"A"}, {"A", "X", "C"})
+        assert _relevance(net, {"C"}, {"A"}) == ({"X", "C"}, {"X", "C"})
+
+    def test_requisite_lies_within_entry_live(self):
+        rng = np.random.default_rng(12)
+        strict = 0
+        for _ in range(240):
+            net = random_net(rng, n_vars=int(rng.integers(2, 12)), arities=(2, 3),
+                             max_parents=int(rng.integers(1, 4)))
+            q = random_query(rng, net, max_target=2, max_evidence=4)
+            requisite, entry_live = _relevance(net, q.target, q.evidence)
+            assert requisite <= entry_live
+            assert requisite == requisite_cpd_vars(net, q.target, q.evidence)
+            strict += requisite < entry_live
+        assert strict > 20
 
 
 class TestRowIndexing:

@@ -153,6 +153,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="row 1: expected 2 values, got 1"):
             Dataset.from_labels(("A", "B"), (("0", "1"), ("0", "1")), [("0", "1"), ("1",)])
 
+    @pytest.mark.parametrize("domains", [(("0", "1"),), (("0", "1"),) * 3],
+                             ids=["one-domain-short", "one-domain-over"])
+    def test_from_labels_refuses_a_domain_count_other_than_the_columns(self, domains):
+        with pytest.raises(ValueError, match="one domain per column"):
+            Dataset.from_labels(("A", "B"), domains, [("0", "1")])
+
 
 class TestNetCodes:
     """How a dataset binds to a net: by variable name and domain."""

@@ -13,10 +13,12 @@ The cases are the qfit benchmark's fits for seeds 61-63 and passes 0-7
 mixed sets of general and blanket queries, the ex4.1 fit, three seeded
 ``querybn learn --mode qfit`` runs on the ex4.1 fixture (``--init``
 ``dirichlet``, ``uniform`` and ``net``, through ``cli.main``), ``grad`` on
-60 random nets, and the plans ``inference._compile`` makes for 2,000
-random structures of 1-15 variables and 150 of 20-70 variables (arities
-2-4, random observed sets), ``ex42_truth(100)``, ``ex42_truth(400)`` and
-``ex43_truth(10)``.  A fit's digest covers its trace (floats as hex), the
+60 random nets, a fit and ``grad`` on each of 48 random query sets in
+which some CPT has a raw entry the queries can move but no query
+requires (a barren leaf below a target, for one), and the plans
+``inference._compile`` makes for 2,000 random structures of 1-15
+variables and 150 of 20-70 variables (arities 2-4, random observed
+sets), ``ex42_truth(100)``, ``ex42_truth(400)`` and ``ex43_truth(10)``.  A fit's digest covers its trace (floats as hex), the
 fitted tables' bytes, ``err``, ``restart``, ``converged`` and every net
 ``on_step`` received; a ``learn`` run's covers the bytes of its
 ``net.json`` and ``trace.csv``; a gradient's covers each array's bytes;
@@ -66,6 +68,7 @@ from querybn.cli import main as cli_main  # noqa: E402
 from querybn.experiments import (EXPERIMENT_IDS, ex41_labeled_queries,  # noqa: E402
                                  ex41_structure, ex42_truth, ex43_truth)
 from querybn.inference import _compile  # noqa: E402
+from querybn.network import _bayes_ball  # noqa: E402
 from querybn.random_nets import (random_blanket_query, random_dag, random_net,  # noqa: E402
                                  random_query)
 from workloads import QFit  # noqa: E402
@@ -117,6 +120,36 @@ def _mixed(rng, net, n_general: int, n_blanket: int) -> list[qb.LabeledQuery]:
             qs.append(q)
     qs += [random_blanket_query(rng, net) for _ in range(n_blanket)]
     return [qb.LabeledQuery(q, float(rng.random())) for q in qs]
+
+
+def _not_requisite(net, lqs) -> set[str]:
+    """Variables some query's Bayes-ball pass reaches within their family
+    (bottom-marks the variable or a parent) but no query's top-marks: CPTs
+    with a raw entry the set can move whose normalised rows cannot change
+    any answer.  Read off ``_bayes_ball``'s marks here, so that the tool
+    runs unchanged on older revisions of the library."""
+    top, entry = set(), set()
+    for lq in lqs:
+        t, bottom = _bayes_ball(net, lq.query.target, set(lq.query.evidence))
+        top |= t
+        entry |= {v for v in net.names if v in bottom or set(net.parents(v)) & bottom}
+    return entry - top
+
+
+def _nonrequisite_sets(count: int = 48):
+    """``count`` seeded (structure, labeled queries, options, weights) fit
+    cases whose query sets have a CPT :func:`_not_requisite` names."""
+    rng = np.random.default_rng(72)
+    found = 0
+    while found < count:
+        structure = random_net(rng, n_vars=int(rng.integers(3, 9)), arities=(2, 3, 4),
+                               max_parents=int(rng.integers(1, 4)))
+        lqs = _mixed(rng, structure, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+        if not _not_requisite(structure, lqs):
+            continue
+        weights = list(rng.uniform(0.1, 2.0, len(lqs))) if found % 2 else None
+        yield structure, lqs, qb.FitOptions(restarts=2, max_iters=60, seed=found), weights
+        found += 1
 
 
 def _plan_digest(signature, observed) -> str:
@@ -297,6 +330,11 @@ def cases():
         g = qb.grad(net, lqs, weights=list(rng.uniform(0.1, 2.0, len(lqs))))
         digest = hashlib.sha256(b"".join(g[v].tobytes() for v in net.names)).hexdigest()
         yield f"grad net {i}", digest
+    for i, (structure, lqs, opts, weights) in enumerate(_nonrequisite_sets()):
+        yield f"non-requisite set {i}", _fit_digest(structure, lqs, opts, weights)
+        g = qb.grad(structure, lqs, weights=weights)
+        digest = hashlib.sha256(b"".join(g[v].tobytes() for v in structure.names)).hexdigest()
+        yield f"grad non-requisite set {i}", digest
     rng = np.random.default_rng(67)
     for size, count, low, high in (("small", 2000, 1, 15), ("large", 150, 20, 70)):
         for i in range(count):
